@@ -2,13 +2,17 @@
 //!
 //! The collaborative end-state Q-VR is pitched at is not a fixed cast of
 //! headsets — multi-party VR surveys consistently find churn (participants
-//! arriving late, dropping out, reconnecting) to be the norm. A
-//! [`ChurnFleet`] runs an open system on the same shared substrate as
-//! [`crate::fleet::Fleet`]: one engine, one server pool, one wireless
-//! link — but membership follows a deterministic [`ChurnTrace`] of
-//! join/leave events pinned to *virtual* time, which is why churn requires
-//! [`crate::clock::SteppingPolicy::VirtualTime`] semantics (a join at 800 ms only means
-//! something when the fleet has a coherent global frontier at 800 ms).
+//! arriving late, dropping out, reconnecting) to be the norm. So the open
+//! roster is the general case, and [`ChurnFleet`] is the simulator's one
+//! fleet engine: one engine, one server pool, one wireless link, with
+//! membership following a deterministic [`ChurnTrace`] of join/leave
+//! events pinned to *virtual* time. That is why churn steps
+//! earliest-clock-first ([`crate::clock::SteppingPolicy::VirtualTime`]): a
+//! join at 800 ms only means something when the fleet has a coherent
+//! global frontier at 800 ms. A closed [`crate::fleet::Fleet`] is the
+//! special case where everyone joins at 0 and nobody leaves: the same
+//! engine with a per-session frame budget in place of the horizon, and
+//! optionally round-robin stepping over the occupied slots.
 //!
 //! The pieces:
 //!
@@ -30,17 +34,19 @@
 //!   paid for.
 //! * **Windowed retirement** — long-running open systems retire completed
 //!   engine history ([`qvr_sim::Engine::retire_before`]) so per-resource
-//!   live state stays O(window) while tenants come and go.
+//!   live state stays O(window) while tenants come and go. Every fleet,
+//!   open or fixed, retires on one cadence: quarter-window batches, with
+//!   the live-interval peak sampled before each retire and at finish.
 
 use crate::admission::{AdmissionController, AdmissionDecision, AdmissionPolicy};
-use crate::clock::FleetClock;
+use crate::clock::{FleetClock, SteppingPolicy};
 use crate::fleet::{session_seed, SessionSpec};
 use crate::metrics::{RunSummary, SortedSamples};
 use crate::sched::ServerPolicy;
 use crate::schemes::{ServerPool, SystemConfig};
 use crate::session::Session;
 use crate::telemetry::{
-    client_energy_mj, AggregateSink, LoadTracker, SinkSet, TelemetryConfig, TelemetrySink,
+    client_energy_mj, AggregateSink, FrameEvent, SinkSet, TelemetryConfig, TelemetrySink,
 };
 use qvr_energy::FleetEnergy;
 use qvr_net::{FairnessPolicy, LinkShare, NetworkChannel, SharedChannel};
@@ -516,21 +522,45 @@ struct Tenant {
     upgraded: bool,
 }
 
-/// An open fleet: the same shared substrate as [`crate::fleet::Fleet`],
-/// with virtual-time stepping and a membership trace.
+/// What turns the open-roster engine into a closed [`crate::fleet::Fleet`]:
+/// the whole roster joins at virtual time 0 and steps a frame budget
+/// instead of running to a horizon.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FixedRoster {
+    /// Frames each session steps.
+    pub(crate) frames: usize,
+    /// Round-robin rounds, or earliest-clock-first steps.
+    pub(crate) stepping: SteppingPolicy,
+    /// Whether streaming tenants join one shared link; when `false` every
+    /// tenant holds a private channel.
+    pub(crate) shared_network: bool,
+    /// The classic single-user setup: one private session (its own engine,
+    /// server, and channel) instead of a seat on a shared substrate.
+    pub(crate) dedicated: bool,
+}
+
+/// The fleet engine: sessions on one shared substrate (engine, server
+/// pool, link) whose membership follows a trace pinned to virtual time.
+/// A [`crate::fleet::Fleet`] is this engine with a fixed roster.
 #[derive(Debug)]
 pub struct ChurnFleet {
     system: SystemConfig,
     seed: u64,
     horizon_ms: f64,
+    /// Per-session frame budget of a fixed roster; `None` for open rosters,
+    /// which run to the horizon.
+    budget: Option<usize>,
+    pub(crate) stepping: SteppingPolicy,
     server_policy: ServerPolicy,
     retire_window_ms: Option<f64>,
     warm_start: bool,
     health_degrade: bool,
-    engine: SharedEngine,
-    server: ServerPool,
-    link: SharedChannel,
-    clock: FleetClock,
+    pub(crate) engine: SharedEngine,
+    pub(crate) server: ServerPool,
+    /// The shared link; `None` when every tenant holds a private channel.
+    pub(crate) link: Option<SharedChannel>,
+    /// The virtual-time event queue (unused under round-robin).
+    pub(crate) clock: FleetClock,
     /// Indexed by arrival ordinal; `None` once departed (or never
     /// admitted). Boxed so a long-running open system pays one pointer —
     /// not a whole tenant's footprint — per historical arrival.
@@ -557,13 +587,12 @@ pub struct ChurnFleet {
     controller: Option<AdmissionController>,
     pending: VecDeque<ChurnEvent>,
     /// The telemetry fan-out every frame event streams through.
-    sinks: SinkSet,
-    /// The measured-load handle placement directives read
-    /// (`sinks.load()`, kept here so joins can reset recycled slots).
-    load: LoadTracker,
-    /// Whether the MTP timeline streams through the windowed sink (the
-    /// sample series then stays empty).
-    stream_stats: bool,
+    pub(crate) sinks: SinkSet,
+    /// One round's frame events (round-robin batched fan-out) — cleared
+    /// and refilled each round, never reallocated in steady state.
+    event_buf: Vec<FrameEvent>,
+    /// Rounds stepped so far (round-robin).
+    rounds_done: usize,
     // --- outputs under construction ---
     finished: Vec<TenantRecord>,
     samples: Vec<(f64, f64)>,
@@ -572,7 +601,7 @@ pub struct ChurnFleet {
     degraded: usize,
     upgrades: usize,
     dropped_leaves: usize,
-    peak_live_per_resource: usize,
+    pub(crate) peak_live_per_resource: usize,
     /// The retirement frontier of the last `retire_before` call (batches
     /// retirement so it doesn't scan resources every step).
     last_retire_ms: f64,
@@ -584,27 +613,72 @@ impl ChurnFleet {
     ///
     /// # Panics
     ///
-    /// Panics if the horizon is not positive-finite or a capacity is zero.
+    /// Panics if the horizon is not positive-finite, or on an invalid
+    /// substrate (zero server units or link streams, a non-finite or
+    /// non-positive retirement window).
     #[must_use]
     pub fn new(config: ChurnConfig) -> Self {
         assert!(
             config.horizon_ms.is_finite() && config.horizon_ms > 0.0,
             "a churn run needs a positive horizon"
         );
+        Self::build(config, None)
+    }
+
+    /// The one constructor. An open roster (`fixed = None`) queues its
+    /// initial roster and trace as membership events; a fixed roster seats
+    /// `config.initial` at virtual time 0 and ignores the trace.
+    ///
+    /// # Panics
+    ///
+    /// Panics on zero server units, zero `link_streams` on a shared link,
+    /// a non-finite or non-positive `retire_window_ms`, an invalid server
+    /// policy, or a fixed roster without sessions or frames.
+    pub(crate) fn build(config: ChurnConfig, fixed: Option<FixedRoster>) -> Self {
+        let shared_link = fixed.is_none_or(|f| f.shared_network);
         assert!(
             config.server_units > 0,
             "the server pool needs at least one unit"
         );
         assert!(
-            config.link_streams > 0,
-            "the link needs at least one stream"
+            !shared_link || config.link_streams > 0,
+            "link_streams: a shared link needs at least one stream"
         );
+        if let Some(window) = config.retire_window_ms {
+            // NaN would silently never retire; ≤ 0 would retire history
+            // the steppers still depend on.
+            assert!(
+                window.is_finite() && window > 0.0,
+                "retire_window_ms must be positive and finite, got {window}"
+            );
+        }
+        if let Some(f) = fixed {
+            assert!(
+                !config.initial.is_empty(),
+                "a fleet needs at least one session"
+            );
+            assert!(f.frames > 0, "a fleet needs at least one frame");
+        }
         config.server_policy.validate(config.server_units);
-        let engine = SharedEngine::new();
-        let server = ServerPool::on(&engine, config.server_units);
-        let link = SharedChannel::new(NetworkChannel::new(config.system.network, config.seed));
-        link.set_policy(config.fairness);
-        link.set_concurrent_streams(config.link_streams);
+        let solo = fixed.filter(|f| f.dedicated).map(|_| {
+            let spec = &config.initial[0];
+            Session::private(
+                spec.scheme,
+                &config.system,
+                spec.profile.clone(),
+                config.seed,
+            )
+        });
+        let (engine, server) = match &solo {
+            Some(session) => (session.engine(), session.server()),
+            None => ServerPool::with_engine(config.server_units),
+        };
+        let link = shared_link.then(|| {
+            let link = SharedChannel::new(NetworkChannel::new(config.system.network, config.seed));
+            link.set_policy(config.fairness);
+            link.set_concurrent_streams(config.link_streams);
+            link
+        });
         let controller = config.admission.map(|policy| {
             AdmissionController::with_capacity(
                 config.system,
@@ -616,24 +690,34 @@ impl ChurnFleet {
             )
             .with_server_policy(config.server_policy)
         });
-        let mut pending: VecDeque<ChurnEvent> = config
-            .initial
-            .into_iter()
-            .map(|spec| ChurnEvent::join(0.0, spec))
-            .collect();
-        pending.extend(config.trace.events.iter().cloned());
+        // Multi-tenant fixed rosters stream the aggregate their summary
+        // is; open rosters enable it per cell
+        // ([`ChurnFleet::enable_cell_sinks`]) and the dedicated fleet keeps
+        // its post-hoc summary path.
         let sinks = SinkSet::from_config(
             &config.telemetry,
             &config.system,
             config.server_units,
-            false, // churn has its own summary shape; no aggregate stream
+            fixed.is_some_and(|f| !f.dedicated),
         );
-        let load = sinks.load();
-        let stream_stats = config.telemetry.window_ms.is_some();
-        ChurnFleet {
+        let (initial, pending) = match fixed {
+            Some(_) => (config.initial, VecDeque::new()),
+            None => {
+                let mut pending: VecDeque<ChurnEvent> = config
+                    .initial
+                    .into_iter()
+                    .map(|spec| ChurnEvent::join(0.0, spec))
+                    .collect();
+                pending.extend(config.trace.events);
+                (Vec::new(), pending)
+            }
+        };
+        let mut fleet = ChurnFleet {
             system: config.system,
             seed: config.seed,
             horizon_ms: config.horizon_ms,
+            budget: fixed.map(|f| f.frames),
+            stepping: fixed.map_or(SteppingPolicy::VirtualTime, |f| f.stepping),
             server_policy: config.server_policy,
             retire_window_ms: config.retire_window_ms,
             warm_start: config.warm_start,
@@ -651,8 +735,8 @@ impl ChurnFleet {
             controller,
             pending,
             sinks,
-            load,
-            stream_stats,
+            event_buf: Vec::with_capacity(initial.len()),
+            rounds_done: 0,
             finished: Vec::new(),
             samples: Vec::new(),
             occupancy: Vec::new(),
@@ -662,7 +746,19 @@ impl ChurnFleet {
             dropped_leaves: 0,
             peak_live_per_resource: 0,
             last_retire_ms: 0.0,
+        };
+        match solo {
+            Some(session) => {
+                let slot = fleet.take_slot();
+                fleet.seat(slot, session, 0.0, AdmissionDecision::Admitted);
+            }
+            None => {
+                for spec in initial {
+                    fleet.join(0.0, spec);
+                }
+            }
         }
+        fleet
     }
 
     /// Live session count.
@@ -671,10 +767,21 @@ impl ChurnFleet {
         self.live_now
     }
 
-    /// The globally-earliest unfinished session's virtual time, if any.
+    /// The globally-earliest unfinished session's virtual time, if any:
+    /// the clock head under virtual time, the slowest unfinished session
+    /// under round-robin.
     #[must_use]
     pub fn frontier_ms(&mut self) -> Option<f64> {
-        self.clock.peek().map(|(_, t)| t)
+        if self.stepping == SteppingPolicy::VirtualTime {
+            return self.clock.peek().map(|(_, t)| t);
+        }
+        let budget = self.budget.unwrap_or(usize::MAX);
+        let min = self
+            .sessions()
+            .filter(|s| s.frames_stepped() < budget)
+            .map(Session::last_display_end)
+            .fold(f64::INFINITY, f64::min);
+        min.is_finite().then_some(min)
     }
 
     /// A handle to the engine (for retention inspection).
@@ -683,9 +790,18 @@ impl ChurnFleet {
         self.engine.clone()
     }
 
+    /// The seated sessions, in slot order.
+    pub(crate) fn sessions(&self) -> impl Iterator<Item = &Session> {
+        self.slots
+            .iter()
+            .flatten()
+            .filter_map(|ordinal| self.live[*ordinal].as_deref())
+            .map(|t| &t.session)
+    }
+
     /// Advances the run by one unit of work — either the next due
     /// membership event or one frame of the earliest session — and returns
-    /// whether anything remains to do.
+    /// whether anything remains to do (virtual-time stepping).
     pub fn tick(&mut self) -> bool {
         let frontier = self.clock.peek();
         let due = match (self.pending.front(), frontier) {
@@ -715,53 +831,88 @@ impl ChurnFleet {
             return false;
         }
         self.clock.pop();
-        let ordinal = self.slots[slot].expect("scheduled slots are occupied");
-        let tenant = self.live[ordinal]
-            .as_mut()
-            .expect("occupied slots map to live tenants");
-        let event = tenant.session.step();
+        let event = self.step_slot(slot);
         self.sinks.emit(&event);
-        let t = event.end_ms;
-        if !self.stream_stats {
-            self.samples.push((t, event.mtp_ms));
-        }
-        if t < self.horizon_ms {
-            self.clock.schedule(slot, t);
-        }
-        if let Some(window) = self.retire_window_ms {
-            if let Some((_, f)) = self.clock.peek() {
-                // Retire in batches of a quarter-window: per-resource live
-                // state only grows between retirements, so sampling the
-                // peak just before each retire (plus once at finish) sees
-                // every maximum — no per-step O(resources) scan needed.
-                if f - window > self.last_retire_ms + 0.25 * window {
-                    self.peak_live_per_resource = self
-                        .peak_live_per_resource
-                        .max(self.engine.max_live_intervals());
-                    self.last_retire_ms = f - window;
-                    self.engine.retire_before(self.last_retire_ms);
-                }
-            }
-        }
-        if self.stream_stats || self.sinks.health.is_some() {
-            // Close streamed stat buckets (and health windows) no future
-            // sample can reach: a future frame ends after its session's
-            // clock (≥ the heap frontier), and a future *joiner*'s first
-            // frame ends after its join event's time — so the safe frontier
-            // is the earlier of the clock head and the next pending
-            // membership event.
-            let frontier = self.clock.peek().map(|(_, f)| f);
-            let pending_at = self.pending.front().map(|e| e.at_ms);
-            let safe = match (frontier, pending_at) {
-                (Some(f), Some(p)) => Some(f.min(p)),
-                (Some(f), None) => Some(f),
-                (None, p) => p,
-            };
-            if let Some(t) = safe {
-                self.sinks.close_windows_before(t);
-            }
-        }
+        self.advance_frontier();
         true
+    }
+
+    /// Steps every seated session one frame in slot order (round-robin)
+    /// and fans the round out as one batch: the sink set is traversed per
+    /// round, not per event, in unchanged event order.
+    pub(crate) fn step_round(&mut self) {
+        self.event_buf.clear();
+        for slot in 0..self.slots.len() {
+            if self.slots[slot].is_some() {
+                let event = self.step_slot(slot);
+                self.event_buf.push(event);
+            }
+        }
+        self.sinks.emit_batch(&self.event_buf);
+        self.rounds_done += 1;
+        self.advance_frontier();
+    }
+
+    /// Steps the tenant in `slot` one frame: keeps its sample and, under
+    /// virtual time, reschedules it while it has budget left before the
+    /// horizon.
+    fn step_slot(&mut self, slot: usize) -> FrameEvent {
+        let ordinal = self.slots[slot].expect("stepped slots are occupied");
+        let session = &mut self.live[ordinal]
+            .as_mut()
+            .expect("occupied slots map to live tenants")
+            .session;
+        let event = session.step();
+        let more = event.end_ms < self.horizon_ms
+            && self.budget.is_none_or(|b| session.frames_stepped() < b);
+        if more && self.stepping == SteppingPolicy::VirtualTime {
+            self.clock.schedule(slot, event.end_ms);
+        }
+        // Only open rosters that do not stream their timeline keep the
+        // O(run) sample series.
+        if self.budget.is_none() && self.sinks.windowed.is_none() {
+            self.samples.push((event.end_ms, event.mtp_ms));
+        }
+        event
+    }
+
+    /// Propagates the frontier (after each step, or each round under
+    /// round-robin) to the consumers that key on it: windowed retirement
+    /// and the streamed stats/health buckets.
+    fn advance_frontier(&mut self) {
+        if self.retire_window_ms.is_none()
+            && self.sinks.windowed.is_none()
+            && self.sinks.health.is_none()
+        {
+            return;
+        }
+        let frontier = self.frontier_ms();
+        if let (Some(window), Some(f)) = (self.retire_window_ms, frontier) {
+            // Retire in batches of a quarter-window: per-resource live
+            // state only grows between retirements, so sampling the peak
+            // just before each retire (plus once at finish) sees every
+            // maximum — no per-step O(resources) scan needed.
+            if f - window > self.last_retire_ms + 0.25 * window {
+                self.peak_live_per_resource = self
+                    .peak_live_per_resource
+                    .max(self.engine.max_live_intervals());
+                self.last_retire_ms = f - window;
+                self.engine.retire_before(self.last_retire_ms);
+            }
+        }
+        // Close streamed stat buckets (and health windows) no future
+        // sample can reach: a future frame ends after its session's clock
+        // (≥ the frontier), and a future *joiner*'s first frame ends after
+        // its join event's time — so the safe frontier is the earlier of
+        // the two.
+        let pending = self.pending.front().map(|e| e.at_ms);
+        let safe = match (frontier, pending) {
+            (Some(f), Some(p)) => Some(f.min(p)),
+            (f, p) => f.or(p),
+        };
+        if let Some(t) = safe {
+            self.sinks.close_windows_before(t);
+        }
     }
 
     /// Attaches a custom telemetry sink (receives every frame event from
@@ -781,13 +932,7 @@ impl ChurnFleet {
     /// The live fleet's mean operating eccentricity (the warm-start seed).
     /// Iterates occupied slots — O(peak concurrency), not total arrivals.
     fn warm_e1(&self) -> Option<f64> {
-        let es: Vec<f64> = self
-            .slots
-            .iter()
-            .flatten()
-            .filter_map(|ordinal| self.live[*ordinal].as_ref())
-            .filter_map(|t| t.session.last_e1_deg())
-            .collect();
+        let es: Vec<f64> = self.sessions().filter_map(Session::last_e1_deg).collect();
         (!es.is_empty()).then(|| es.iter().sum::<f64>() / es.len() as f64)
     }
 
@@ -825,22 +970,22 @@ impl ChurnFleet {
             }
         };
         let seed = session_seed(self.seed, ordinal);
-        let channel = if spec.scheme.uses_network() {
-            // Reuse a departed member's slot when one is free, so the
-            // channel's member table is bounded by peak concurrency even
-            // when the run churns through arbitrarily many arrivals.
-            match self.free_links.pop() {
+        // Only tenants that actually move frame data over a shared link
+        // join it (membership drives the occupancy the fairness policy
+        // divides by), reusing a departed member's handle when one is free
+        // so the member table stays bounded by peak concurrency. Everyone
+        // else gets a *private* channel: a clone of the shared handle
+        // would let any future link touch mutate the shared RNG/ACK state
+        // without membership, silently coupling tenants.
+        let channel = match &self.link {
+            Some(link) if spec.scheme.uses_network() => match self.free_links.pop() {
                 Some(handle) => {
                     handle.rejoin(spec.share);
                     handle
                 }
-                None => self.link.join(spec.share),
-            }
-        } else {
-            // Non-streaming tenants get a private channel — a clone of the
-            // shared handle would let future link touches mutate the
-            // shared RNG/ACK state without membership (see `Fleet::new`).
-            SharedChannel::new(NetworkChannel::new(self.system.network, seed))
+                None => link.join(spec.share),
+            },
+            _ => SharedChannel::new(NetworkChannel::new(self.system.network, seed)),
         };
         // Warm start: begin at the crowd's operating point instead of the
         // cold default (only meaningful for adaptive-controller schemes).
@@ -850,29 +995,17 @@ impl ChurnFleet {
                 system.initial_e1_deg = e1;
             }
         }
-        // Recycle a departed tenant's engine/clock slot when one is free
-        // (the rig baselines the reused resources' busy time, and the join
-        // gate pins their frontiers to the join instant).
-        let slot = match self.free_slots.pop() {
-            Some(s) => {
-                self.slots[s] = Some(ordinal);
-                s
-            }
-            None => {
-                self.slots.push(Some(ordinal));
-                self.slots.len() - 1
-            }
-        };
+        let slot = self.take_slot();
         // A recycled slot must not inherit its predecessor's measured-load
         // profile: the joiner starts unmeasured (presumed light).
-        self.load.reset(slot);
+        self.sinks.load.reset(slot);
         let directive = self.server_policy.directive(
             spec.scheme.tenant_class(),
             self.server.units(),
             slot,
-            &self.load,
+            &self.sinks.load,
         );
-        let mut session = Session::in_fleet(
+        let session = Session::in_fleet(
             spec.scheme,
             &system,
             spec.profile.clone(),
@@ -883,7 +1016,27 @@ impl ChurnFleet {
             slot,
             directive,
         );
-        session.gate_at(at_ms);
+        self.seat(slot, session, at_ms, decision);
+    }
+
+    /// A departed tenant's engine/clock slot when one is free (the rig
+    /// baselines the reused resources' busy time), else a fresh one.
+    fn take_slot(&mut self) -> usize {
+        self.free_slots.pop().unwrap_or_else(|| {
+            self.slots.push(None);
+            self.slots.len() - 1
+        })
+    }
+
+    /// Seats a built session in `slot` at `at_ms`. Budgeted (fixed-roster)
+    /// sessions pre-reserve their frame storage; open-roster joiners are
+    /// gated so their pipeline starts at the join instant.
+    fn seat(&mut self, slot: usize, mut session: Session, at_ms: f64, decision: AdmissionDecision) {
+        match self.budget {
+            Some(frames) => session.reserve_frames(frames),
+            None => session.gate_at(at_ms),
+        }
+        self.slots[slot] = Some(self.live.len());
         self.live.push(Some(Box::new(Tenant {
             session,
             slot,
@@ -892,8 +1045,10 @@ impl ChurnFleet {
             upgraded: false,
         })));
         self.live_now += 1;
-        self.clock.schedule(slot, at_ms);
-        self.occupancy.push((at_ms, self.live_count()));
+        if self.stepping == SteppingPolicy::VirtualTime {
+            self.clock.schedule(slot, at_ms);
+        }
+        self.occupancy.push((at_ms, self.live_now));
     }
 
     fn leave(&mut self, at_ms: f64, ordinal: usize) {
@@ -950,19 +1105,26 @@ impl ChurnFleet {
         }
     }
 
-    /// Runs the remaining work and finalises.
-    #[must_use]
-    pub fn finish(mut self) -> ChurnSummary {
-        while self.tick() {}
-        let total_tasks = self.engine.task_count();
-        let retired_tasks = self.engine.retired_tasks();
-        let peak = self
+    /// Runs every remaining step — rounds up to the frame budget under
+    /// round-robin, ticks until nothing remains under virtual time — then
+    /// finalises every tenant (departed ones in leave order, survivors by
+    /// arrival ordinal) and the fleet energy over them.
+    pub(crate) fn wind_up(&mut self) -> (Vec<TenantRecord>, FleetEnergy) {
+        match self.stepping {
+            SteppingPolicy::RoundRobin => {
+                while self.rounds_done < self.budget.unwrap_or(0) {
+                    self.step_round();
+                }
+            }
+            SteppingPolicy::VirtualTime => while self.tick() {},
+        }
+        self.peak_live_per_resource = self
             .peak_live_per_resource
             .max(self.engine.max_live_intervals());
-        let mut tenants = self.finished;
+        let mut tenants = std::mem::take(&mut self.finished);
         // Survivors retire at the horizon (or their final display, if the
-        // last frame overshot it), in arrival-ordinal order.
-        for (ordinal, entry) in self.live.into_iter().enumerate() {
+        // last frame overshot it).
+        for (ordinal, entry) in std::mem::take(&mut self.live).into_iter().enumerate() {
             if let Some(tenant) = entry {
                 tenant.session.release_link();
                 tenants.push(TenantRecord {
@@ -979,14 +1141,20 @@ impl ChurnFleet {
             self.engine.makespan(),
             client_energy_mj(tenants.iter().map(|t| &t.summary.energy)),
         );
+        (tenants, energy)
+    }
+
+    /// Runs the remaining work and finalises.
+    #[must_use]
+    pub fn finish(mut self) -> ChurnSummary {
+        let (tenants, energy) = self.wind_up();
         let (windows, peak_open_samples) = self.sinks.windowed_finish();
-        let incidents = self.sinks.health_finish();
         ChurnSummary {
             tenants,
             samples: self.samples,
             windows,
             peak_open_samples,
-            incidents,
+            incidents: self.sinks.health_finish(),
             energy,
             occupancy: self.occupancy,
             rejected: self.rejected,
@@ -994,9 +1162,9 @@ impl ChurnFleet {
             upgrades: self.upgrades,
             dropped_leaves: self.dropped_leaves,
             horizon_ms: self.horizon_ms,
-            peak_live_per_resource: peak,
-            retired_tasks,
-            total_tasks,
+            peak_live_per_resource: self.peak_live_per_resource,
+            retired_tasks: self.engine.retired_tasks(),
+            total_tasks: self.engine.task_count(),
         }
     }
 
@@ -1007,10 +1175,10 @@ impl ChurnFleet {
     }
 
     /// Switches the aggregate stream on, so this churn fleet can finalise
-    /// into the same sink-state bundle a fleet cell ships
-    /// ([`ChurnFleet::finish_cell`]). Must be called before any frame has
-    /// been stepped — a late-enabled sink would have missed events and the
-    /// cross-cell merge would silently under-count.
+    /// into the shard-cell bundle ([`ChurnFleet::finish_cell`]; closed
+    /// fleets stream it from construction). Must be called before any
+    /// frame has been stepped — a late-enabled sink would have missed
+    /// events and the cross-cell merge would silently under-count.
     ///
     /// # Panics
     ///
@@ -1023,58 +1191,41 @@ impl ChurnFleet {
         self.sinks.aggregate = Some(AggregateSink::new());
     }
 
-    /// Runs the remaining work and finalises into the shard-cell bundle
-    /// (see [`crate::shard`] and [`crate::fleet::Fleet::finish_cell`]):
-    /// sink states plus scalar schedule facts, never retained frame
-    /// histories. Requires [`ChurnFleet::enable_cell_sinks`] at
-    /// construction time; configure deferred windows
-    /// ([`TelemetryConfig::with_deferred_windows`]) if the windowed
-    /// timeline should survive the merge.
+    /// Runs the remaining work and finalises into the bundle a shard cell
+    /// ships across its worker-thread boundary (see [`crate::shard`]): raw
+    /// sink states (aggregate, windowed, finalised energy, a load-EWMA
+    /// snapshot, metrics, incidents) plus scalar schedule facts — never
+    /// the per-session frame histories, which die with the cell. Closed
+    /// fleets always stream the aggregate; open rosters need
+    /// [`ChurnFleet::enable_cell_sinks`] at construction time. Configure
+    /// deferred windows ([`TelemetryConfig::with_deferred_windows`]) if
+    /// the windowed timeline should survive the merge.
     ///
     /// # Panics
     ///
-    /// Panics if the aggregate stream was never enabled.
+    /// Panics if the aggregate stream was never enabled (an open roster
+    /// without [`ChurnFleet::enable_cell_sinks`], or a dedicated
+    /// single-user fleet).
     #[must_use]
     pub fn finish_cell(mut self, cell: usize) -> crate::shard::CellSummary {
-        while self.tick() {}
-        let makespan_ms = self.engine.makespan();
-        let server_units = self.server.units();
-        let server_busy_ms = self.engine.pool_busy_ms(self.server.rgpu());
-        let peak_live_tasks = self
-            .peak_live_per_resource
-            .max(self.engine.max_live_intervals());
-        // Tenant energies in the same order `finish` records them
-        // (departed in leave order, then survivors by arrival ordinal), so
-        // the client sum is bit-identical to the ChurnSummary path. The
-        // finalised summaries themselves — the frame histories — are
-        // dropped on this side of the seam.
-        let mut energies: Vec<qvr_energy::EnergyBreakdown> =
-            self.finished.iter().map(|t| t.summary.energy).collect();
-        for tenant in std::mem::take(&mut self.live).into_iter().flatten() {
-            tenant.session.release_link();
-            energies.push(tenant.session.finish().energy);
-        }
-        let sessions = energies.len();
-        let energy = self
-            .sinks
-            .energy_finalize(makespan_ms, client_energy_mj(energies.iter()));
+        let (tenants, energy) = self.wind_up();
         let aggregate = self
             .sinks
             .aggregate
             .take()
-            .expect("churn cells stream aggregates (ChurnFleet::enable_cell_sinks)");
+            .expect("cells stream aggregates (ChurnFleet::enable_cell_sinks)");
         crate::shard::CellSummary {
             cell,
-            sessions,
+            sessions: tenants.len(),
             frames: aggregate.frames(),
-            makespan_ms,
-            server_units,
-            server_busy_ms,
+            makespan_ms: self.engine.makespan(),
+            server_units: self.server.units(),
+            server_busy_ms: self.engine.pool_busy_ms(self.server.rgpu()),
             aggregate,
             windowed: self.sinks.windowed.take(),
             energy,
             load: self.sinks.load.snapshot(),
-            peak_live_tasks,
+            peak_live_tasks: self.peak_live_per_resource,
             metrics: self.sinks.metrics.take(),
             incidents: self.sinks.health_finish(),
         }
@@ -1388,5 +1539,41 @@ mod tests {
             we1 > ce1 + 2.0,
             "warm joiner must start near the converged fovea: {we1:.1}° vs cold {ce1:.1}°"
         );
+    }
+
+    fn solo_churn() -> ChurnConfig {
+        ChurnConfig::new(
+            SystemConfig::default(),
+            vec![spec()],
+            ChurnTrace::default(),
+            200.0,
+            1,
+        )
+    }
+
+    #[test]
+    #[should_panic(expected = "retire_window_ms")]
+    fn churn_rejects_a_nan_retire_window() {
+        let _ = ChurnFleet::new(solo_churn().with_retire_window_ms(f64::NAN));
+    }
+
+    #[test]
+    #[should_panic(expected = "retire_window_ms")]
+    fn churn_rejects_a_negative_retire_window() {
+        let _ = ChurnFleet::new(solo_churn().with_retire_window_ms(-50.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "retire_window_ms")]
+    fn churn_rejects_an_infinite_retire_window() {
+        let _ = ChurnFleet::new(solo_churn().with_retire_window_ms(f64::INFINITY));
+    }
+
+    #[test]
+    #[should_panic(expected = "link_streams")]
+    fn churn_rejects_zero_link_streams() {
+        let mut config = solo_churn();
+        config.link_streams = 0;
+        let _ = ChurnFleet::new(config);
     }
 }

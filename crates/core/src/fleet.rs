@@ -7,11 +7,17 @@
 //! per-session share shrinks and the server pool saturates, each session's
 //! controller independently grows its fovea to absorb the loss.
 //!
-//! A [`Fleet`] steps its sessions round-robin (one frame per session per
-//! round) against a shared [`qvr_sim::SharedEngine`], a shared
-//! [`ServerPool`] of per-frame GPU units, and (by default) one shared
-//! [`qvr_net::SharedChannel`] bandwidth budget. Independent fleets (across
-//! seeds or configs) run in parallel threads via [`Fleet::run_many`].
+//! A [`Fleet`] is a fixed roster on the one fleet engine,
+//! [`crate::churn::ChurnFleet`]: every session joins at virtual time 0,
+//! nobody leaves, and each steps a frame budget instead of running to a
+//! horizon. The engine steps the roster against a shared
+//! [`qvr_sim::SharedEngine`], a shared [`crate::schemes::ServerPool`] of
+//! per-frame GPU units, and (by default) one shared
+//! [`qvr_net::SharedChannel`] bandwidth budget, in the order the
+//! [`SteppingPolicy`] names: one frame per session per round in
+//! session-index order ([`Fleet::step_round`]), or earliest virtual clock
+//! first ([`Fleet::step_next`]). Independent fleets (across seeds or
+//! configs) run in parallel threads via [`Fleet::run_many`].
 //!
 //! # Tenancy semantics
 //!
@@ -24,15 +30,15 @@
 //! tenants. [`crate::schemes::SchemeKind::run`] delegates to a dedicated
 //! 1-session fleet, reproducing the original single-user numbers exactly.
 
-use crate::clock::{FleetClock, SteppingPolicy};
+use crate::churn::{ChurnConfig, ChurnFleet, ChurnTrace, FixedRoster};
+use crate::clock::SteppingPolicy;
 use crate::metrics::{RunSummary, SortedSamples};
 use crate::sched::ServerPolicy;
-use crate::schemes::{SchemeKind, ServerPool, SystemConfig};
+use crate::schemes::{SchemeKind, SystemConfig};
 use crate::session::Session;
-use crate::telemetry::FrameEvent;
-use crate::telemetry::{client_energy_mj, SinkSet, TelemetryConfig, TelemetrySink};
+use crate::telemetry::{client_energy_mj, AggregateSink, TelemetryConfig, TelemetrySink};
 use qvr_energy::FleetEnergy;
-use qvr_net::{FairnessPolicy, LinkShare, NetworkChannel, SharedChannel};
+use qvr_net::{FairnessPolicy, LinkShare};
 use qvr_scene::AppProfile;
 use qvr_sim::SharedEngine;
 use std::fmt;
@@ -108,11 +114,12 @@ pub struct FleetConfig {
     /// synchronized (DESIGN.md §8) and is required for churn.
     pub stepping: SteppingPolicy,
     /// Windowed task retirement: completed engine history older than this
-    /// many ms behind the slowest unfinished session is dropped, so every
-    /// resource holds O(window) live state instead of the full task
-    /// history. `None` (the default) keeps everything. The window must
-    /// exceed the longest dependency horizon a stepper keeps (render-ahead
-    /// pacing × frame interval); lookups into retired history panic.
+    /// many ms behind the slowest unfinished session is dropped (in
+    /// quarter-window batches), so every resource holds O(window) live
+    /// state instead of the full task history. `None` (the default) keeps
+    /// everything. The window must be positive and finite, and must exceed
+    /// the longest dependency horizon a stepper keeps (render-ahead pacing
+    /// × frame interval); lookups into retired history panic.
     pub retire_window_ms: Option<f64>,
     /// Which built-in telemetry sinks stream this fleet's frame events
     /// (default-on; see [`crate::telemetry`]). Sinks observe the event
@@ -179,175 +186,58 @@ pub(crate) fn session_seed(seed: u64, idx: usize) -> u64 {
     seed ^ (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// A running fleet of sessions on shared resources.
+/// A running fleet: a fixed roster on the one fleet engine
+/// ([`ChurnFleet`]) — every session joins at virtual time 0 and steps a
+/// frame budget in place of a horizon.
 #[derive(Debug)]
 pub struct Fleet {
-    engine: SharedEngine,
-    server: ServerPool,
-    sessions: Vec<Session>,
-    frames: usize,
-    rounds_done: usize,
-    shared_network: bool,
-    /// Classic dedicated single-user setup: telemetry still streams, but
-    /// the summary keeps the engine-makespan span semantics (see finish).
-    dedicated: bool,
-    stepping: SteppingPolicy,
-    /// The virtual-time event queue ([`SteppingPolicy::VirtualTime`] only).
-    clock: FleetClock,
-    retire_window_ms: Option<f64>,
-    /// The telemetry fan-out every frame event streams through.
-    sinks: SinkSet,
-    /// Reusable buffer for one round's frame events (round-robin batched
-    /// fan-out) — cleared and refilled each round, never reallocated in
-    /// steady state.
-    event_buf: Vec<FrameEvent>,
+    /// The engine, with the whole roster seated and no membership trace.
+    pub(crate) core: ChurnFleet,
 }
 
 impl Fleet {
-    /// Builds the fleet: shared engine, server pools, channels, and one
-    /// session per spec.
+    /// Builds the fleet: the engine's substrate, with one session per spec
+    /// seated at virtual time 0 (no join gate, no warm start).
     ///
     /// # Panics
     ///
-    /// Panics if the config has no sessions, zero frames, or zero server
-    /// units.
+    /// Panics if the config has no sessions, zero frames, zero server
+    /// units, zero `link_streams` on a shared link, or a non-finite or
+    /// non-positive `retire_window_ms`.
     #[must_use]
     pub fn new(config: FleetConfig) -> Self {
-        assert!(
-            !config.sessions.is_empty(),
-            "a fleet needs at least one session"
-        );
-        assert!(config.frames > 0, "a fleet needs at least one frame");
-        assert!(
-            config.server_units > 0,
-            "the server pool needs at least one unit"
-        );
-        if config.is_dedicated() {
-            let spec = &config.sessions[0];
-            let mut session = Session::private(
-                spec.scheme,
-                &config.system,
-                spec.profile.clone(),
-                config.seed,
-            );
-            session.reserve_frames(config.frames);
-            let server = session.server();
-            return Fleet {
-                engine: session.engine(),
-                server,
-                sessions: vec![session],
-                frames: config.frames,
-                rounds_done: 0,
-                shared_network: false,
-                dedicated: true,
-                stepping: config.stepping,
-                clock: Self::primed_clock(config.stepping, 1),
-                retire_window_ms: config.retire_window_ms,
-                sinks: Self::sinks_for(&config, server.units()),
-                event_buf: Vec::with_capacity(1),
-            };
-        }
-        config.server_policy.validate(config.server_units);
-        let engine = SharedEngine::new();
-        let server = ServerPool::on(&engine, config.server_units);
-        let sinks = Self::sinks_for(&config, config.server_units);
-        let load = sinks.load();
-        let shared_channel = if config.shared_network {
-            let ch = SharedChannel::new(NetworkChannel::new(config.system.network, config.seed));
-            ch.set_policy(config.fairness);
-            ch.set_concurrent_streams(config.link_streams.max(1));
-            Some(ch)
-        } else {
-            None
-        };
-        let sessions: Vec<Session> = config
-            .sessions
-            .iter()
-            .enumerate()
-            .map(|(i, spec)| {
-                let seed = session_seed(config.seed, i);
-                // Only tenants that actually move frame data over the link
-                // register as members (and so contend for it) — a LocalOnly
-                // neighbour must not debit the bandwidth share of the
-                // streaming sessions. Membership drives the occupancy the
-                // fairness policy divides by. Non-streaming tenants get a
-                // *private* channel: handing them a clone of the shared
-                // handle would let any future code path that touches the
-                // link mutate the shared channel's RNG/ACK state without
-                // being a member, silently coupling tenants.
-                let channel = match &shared_channel {
-                    Some(ch) if spec.scheme.uses_network() => ch.join(spec.share),
-                    _ => SharedChannel::new(NetworkChannel::new(config.system.network, seed)),
-                };
-                let directive = config.server_policy.directive(
-                    spec.scheme.tenant_class(),
-                    config.server_units,
-                    i,
-                    &load,
-                );
-                let mut session = Session::in_fleet(
-                    spec.scheme,
-                    &config.system,
-                    spec.profile.clone(),
-                    seed,
-                    engine.clone(),
-                    channel,
-                    server,
-                    i,
-                    directive,
-                );
-                session.reserve_frames(config.frames);
-                session
-            })
-            .collect();
-        let n = sessions.len();
-        Fleet {
-            engine,
-            server,
-            sessions,
+        let fixed = FixedRoster {
             frames: config.frames,
-            rounds_done: 0,
-            shared_network: config.shared_network,
-            dedicated: false,
             stepping: config.stepping,
-            clock: Self::primed_clock(config.stepping, n),
+            shared_network: config.shared_network,
+            dedicated: config.is_dedicated(),
+        };
+        let roster = ChurnConfig {
+            system: config.system,
+            initial: config.sessions,
+            trace: ChurnTrace::default(),
+            horizon_ms: f64::INFINITY,
+            seed: config.seed,
+            server_units: config.server_units,
+            link_streams: config.link_streams,
+            fairness: config.fairness,
+            server_policy: config.server_policy,
+            admission: None,
             retire_window_ms: config.retire_window_ms,
-            sinks,
-            event_buf: Vec::with_capacity(n),
+            warm_start: false,
+            health_degrade: false,
+            telemetry: config.telemetry,
+        };
+        Fleet {
+            core: ChurnFleet::build(roster, Some(fixed)),
         }
-    }
-
-    /// The default-on sink fan-out a fleet streams its frame events
-    /// through. Multi-tenant fleets run the aggregate stream (it *is* the
-    /// summary); the dedicated single-user degenerate skips it — its
-    /// summary keeps the post-hoc path (engine-makespan span semantics),
-    /// so streaming aggregates there would be paid for and thrown away.
-    fn sinks_for(config: &FleetConfig, units: usize) -> SinkSet {
-        SinkSet::from_config(
-            &config.telemetry,
-            &config.system,
-            units,
-            !config.is_dedicated(),
-        )
-    }
-
-    /// A clock with every slot runnable at virtual time 0 (so the first
-    /// pops come out in session-index order); empty under round-robin.
-    fn primed_clock(stepping: SteppingPolicy, n: usize) -> FleetClock {
-        let mut clock = FleetClock::new();
-        if stepping == SteppingPolicy::VirtualTime {
-            for slot in 0..n {
-                clock.schedule(slot, 0.0);
-            }
-        }
-        clock
     }
 
     /// Attaches a custom telemetry sink: it receives every frame event the
     /// fleet emits from this point on (tests and tooling; the built-in
     /// sinks are configured via [`FleetConfig::telemetry`]).
     pub fn attach_sink(&mut self, sink: Box<dyn TelemetrySink>) {
-        self.sinks.attach(sink);
+        self.core.attach_sink(sink);
     }
 
     /// The measured server-load EWMA of one session slot, ms/frame (`None`
@@ -355,25 +245,13 @@ impl Fleet {
     /// [`ServerPolicy::MeasuredLoad`] places on.
     #[must_use]
     pub fn load_ewma(&self, slot: usize) -> Option<f64> {
-        self.sinks.load.ewma(slot)
-    }
-
-    /// Number of sessions.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.sessions.len()
-    }
-
-    /// Whether the fleet has no sessions (never true after construction).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.sessions.is_empty()
+        self.core.sinks.load.ewma(slot)
     }
 
     /// The sessions, in index order.
     #[must_use]
-    pub fn sessions(&self) -> &[Session] {
-        &self.sessions
+    pub fn sessions(&self) -> Vec<&Session> {
+        self.core.sessions().collect()
     }
 
     /// Steps every session one frame, round-robin in session-index order
@@ -385,20 +263,11 @@ impl Fleet {
     /// advance one session at a time via [`Fleet::step_next`].
     pub fn step_round(&mut self) {
         assert_eq!(
-            self.stepping,
+            self.core.stepping,
             SteppingPolicy::RoundRobin,
             "step_round is round-robin only; virtual-time fleets use step_next"
         );
-        // Collect the whole round into the reusable buffer, then fan it
-        // out once: the sink set is traversed per round, not per event,
-        // and event order (session-index order) is unchanged.
-        self.event_buf.clear();
-        for session in &mut self.sessions {
-            self.event_buf.push(session.step());
-        }
-        self.sinks.emit_batch(&self.event_buf);
-        self.rounds_done += 1;
-        self.advance_frontier();
+        self.core.step_round();
     }
 
     /// Steps the session with the globally-earliest virtual clock
@@ -412,143 +281,54 @@ impl Fleet {
     /// [`Fleet::step_round`] there.
     pub fn step_next(&mut self) -> Option<usize> {
         assert_eq!(
-            self.stepping,
+            self.core.stepping,
             SteppingPolicy::VirtualTime,
             "step_next is virtual-time only; round-robin fleets use step_round"
         );
-        let (slot, _) = self.clock.pop()?;
-        let session = &mut self.sessions[slot];
-        let event = session.step();
-        self.sinks.emit(&event);
-        if session.frames_stepped() < self.frames {
-            let at = session.last_display_end();
-            self.clock.schedule(slot, at);
-        }
-        self.advance_frontier();
+        let (slot, _) = self.core.clock.peek()?;
+        self.core.tick();
         Some(slot)
-    }
-
-    /// Propagates the fleet's virtual-time frontier — the slowest
-    /// *unfinished* session's clock — to the consumers that key on it:
-    /// windowed task retirement (drop history older than `frontier −
-    /// window`) and the streaming stats sink (close buckets no future
-    /// sample can reach). No-op for both once everyone has finished
-    /// (finish flushes the sink).
-    fn advance_frontier(&mut self) {
-        if self.retire_window_ms.is_none()
-            && self.sinks.windowed.is_none()
-            && self.sinks.health.is_none()
-        {
-            return;
-        }
-        let frontier = match self.stepping {
-            // The clock's head is exactly the earliest unfinished session.
-            SteppingPolicy::VirtualTime => self.clock.peek().map(|(_, t)| t),
-            SteppingPolicy::RoundRobin => {
-                let unfinished = self
-                    .sessions
-                    .iter()
-                    .filter(|s| s.frames_stepped() < self.frames);
-                let min = unfinished
-                    .map(Session::last_display_end)
-                    .fold(f64::INFINITY, f64::min);
-                min.is_finite().then_some(min)
-            }
-        };
-        let Some(frontier) = frontier else {
-            return;
-        };
-        if let Some(window) = self.retire_window_ms {
-            if frontier > window {
-                self.engine.retire_before(frontier - window);
-            }
-        }
-        self.sinks.close_windows_before(frontier);
-    }
-
-    /// Rounds stepped so far (round-robin mode).
-    #[must_use]
-    pub fn rounds_done(&self) -> usize {
-        self.rounds_done
     }
 
     /// The stepping policy in force.
     #[must_use]
     pub fn stepping(&self) -> SteppingPolicy {
-        self.stepping
+        self.core.stepping
     }
 
     /// A handle to the engine all sessions submit into (for retention
     /// inspection in bounded-memory runs).
     #[must_use]
     pub fn shared_engine(&self) -> SharedEngine {
-        self.engine.clone()
+        self.core.shared_engine()
     }
 
     /// Steps all remaining rounds and finalises. The summary's aggregates
     /// are the product of the built-in telemetry sinks: percentiles and FPS
-    /// statistics stream out of the [`crate::telemetry::AggregateSink`] (bit-identical to the
-    /// post-hoc re-walk, as `tests/telemetry.rs` pins), fleet energy out of
-    /// the [`crate::telemetry::EnergyMeter`], and the windowed timeline out of the
-    /// [`crate::telemetry::WindowedStatsSink`]. The degenerate dedicated single-user fleet
-    /// keeps the classic post-hoc path — its per-session span is the
-    /// engine makespan, which no event stream observes.
+    /// statistics stream out of the [`crate::telemetry::AggregateSink`]
+    /// (bit-identical to the post-hoc re-walk, as `tests/telemetry.rs`
+    /// pins), fleet energy out of the [`crate::telemetry::EnergyMeter`],
+    /// and the windowed timeline out of the
+    /// [`crate::telemetry::WindowedStatsSink`]. The dedicated single-user
+    /// fleet streams no aggregate and keeps the classic post-hoc path.
     #[must_use]
     pub fn finish(mut self) -> FleetSummary {
-        match self.stepping {
-            SteppingPolicy::RoundRobin => {
-                while self.rounds_done < self.frames {
-                    self.step_round();
-                }
-            }
-            SteppingPolicy::VirtualTime => while self.step_next().is_some() {},
-        }
-        let server_utilization = self.server.utilization(&self.engine);
-        let makespan_ms = self.engine.makespan();
-        let server_units = self.server.units();
-        let summaries: Vec<RunSummary> = self.sessions.into_iter().map(Session::finish).collect();
-        let energy = self.sinks.energy_finalize(
-            makespan_ms,
-            client_energy_mj(summaries.iter().map(|s| &s.energy)),
+        let (tenants, energy) = self.core.wind_up();
+        let core = &mut self.core;
+        let mut summary = FleetSummary::aggregate(
+            tenants.into_iter().map(|t| t.summary).collect(),
+            core.sinks.aggregate.as_ref(),
+            core.engine.makespan(),
+            core.server.utilization(&core.engine),
+            core.server.units(),
+            core.link.is_some(),
         );
-        let (windows, _) = self.sinks.windowed_finish();
-        let mut summary = if self.dedicated {
-            FleetSummary::aggregate(
-                summaries,
-                makespan_ms,
-                server_utilization,
-                server_units,
-                self.shared_network,
-            )
-        } else {
-            let aggregate = self.sinks.aggregate.as_ref().expect("fleets always stream");
-            let (mtp_p50_ms, mtp_p95_ms, mtp_p99_ms) = aggregate.mtp_percentiles();
-            let (fps_floor, mean_fps) = aggregate.fps_stats();
-            FleetSummary {
-                sessions: summaries,
-                makespan_ms,
-                mtp_p50_ms,
-                mtp_p95_ms,
-                mtp_p99_ms,
-                fps_floor,
-                mean_fps,
-                server_utilization,
-                server_units,
-                shared_network: self.shared_network,
-                energy: FleetEnergy::default(),
-                windows: Vec::new(),
-                exposition: None,
-                incidents: Vec::new(),
-                trace: None,
-                peak_live_tasks: 0,
-            }
-        };
         summary.energy = energy;
-        summary.windows = windows;
-        summary.exposition = self.sinks.metrics_exposition();
-        summary.incidents = self.sinks.health_finish();
-        summary.trace = self.sinks.trace.take();
-        summary.peak_live_tasks = self.engine.max_live_intervals();
+        summary.windows = core.sinks.windowed_finish().0;
+        summary.exposition = core.sinks.metrics_exposition();
+        summary.incidents = core.sinks.health_finish();
+        summary.trace = core.sinks.trace.take();
+        summary.peak_live_tasks = core.peak_live_per_resource;
         summary
     }
 
@@ -556,57 +336,6 @@ impl Fleet {
     #[must_use]
     pub fn run(config: FleetConfig) -> FleetSummary {
         Fleet::new(config).finish()
-    }
-
-    /// Steps all remaining rounds and finalises into the bundle a shard
-    /// cell ships across its worker-thread boundary (see [`crate::shard`]):
-    /// raw sink states (aggregate, deferred windowed, finalised energy, a
-    /// load-EWMA snapshot) plus scalar schedule facts — never the
-    /// per-session frame histories, which die with the cell.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a dedicated single-user fleet (cells are multi-tenant by
-    /// construction — the degenerate mode has no aggregate stream).
-    #[must_use]
-    pub(crate) fn finish_cell(mut self, cell: usize) -> crate::shard::CellSummary {
-        assert!(!self.dedicated, "shard cells are multi-tenant fleets");
-        match self.stepping {
-            SteppingPolicy::RoundRobin => {
-                while self.rounds_done < self.frames {
-                    self.step_round();
-                }
-            }
-            SteppingPolicy::VirtualTime => while self.step_next().is_some() {},
-        }
-        let makespan_ms = self.engine.makespan();
-        let server_units = self.server.units();
-        let server_busy_ms = self.engine.pool_busy_ms(self.server.rgpu());
-        let peak_live_tasks = self.engine.max_live_intervals();
-        let sessions = self.sessions.len();
-        // Sessions finalise only to surface their energy breakdowns; their
-        // frame histories are dropped on this side of the seam.
-        let summaries: Vec<RunSummary> = self.sessions.drain(..).map(Session::finish).collect();
-        let energy = self.sinks.energy_finalize(
-            makespan_ms,
-            client_energy_mj(summaries.iter().map(|s| &s.energy)),
-        );
-        let aggregate = self.sinks.aggregate.take().expect("fleets always stream");
-        crate::shard::CellSummary {
-            cell,
-            sessions,
-            frames: aggregate.frames(),
-            makespan_ms,
-            server_units,
-            server_busy_ms,
-            aggregate,
-            windowed: self.sinks.windowed.take(),
-            energy,
-            load: self.sinks.load.snapshot(),
-            peak_live_tasks,
-            metrics: self.sinks.metrics.take(),
-            incidents: self.sinks.health_finish(),
-        }
     }
 
     /// Runs independent fleets in parallel (intended for sweeps across
@@ -704,47 +433,57 @@ pub struct FleetSummary {
 }
 
 impl FleetSummary {
+    /// Assembles a summary over `sessions`. Percentiles and FPS statistics
+    /// come from the run's aggregate stream when it has one, else from a
+    /// post-hoc re-walk of the sessions' frames (the dedicated single-user
+    /// fleet — whose span is the engine makespan, which no event stream
+    /// observes — and re-aggregations).
     fn aggregate(
         sessions: Vec<RunSummary>,
+        stream: Option<&AggregateSink>,
         makespan_ms: f64,
         server_utilization: f64,
         server_units: usize,
         shared_network: bool,
     ) -> Self {
-        // One sort serves all three percentile queries.
-        let mtps = SortedSamples::new(
-            sessions
-                .iter()
-                .flat_map(|s| s.frames.iter().map(|f| f.mtp_ms))
-                .collect(),
-        );
-        // Sessions that recorded no frames (possible for a churn join that
-        // leaves immediately) carry no FPS signal: their `fps()` is a
-        // 0-over-span division, which would drag the floor to a meaningless
-        // 0 and dilute the mean, so they are excluded from the rate stats.
-        let fps: Vec<f64> = sessions
-            .iter()
-            .filter(|s| !s.frames.is_empty())
-            .map(RunSummary::fps)
-            .collect();
-        let fps_floor = fps.iter().copied().fold(f64::INFINITY, f64::min);
-        let mean_fps = if fps.is_empty() {
-            0.0
-        } else {
-            fps.iter().sum::<f64>() / fps.len() as f64
+        let ((mtp_p50_ms, mtp_p95_ms, mtp_p99_ms), (fps_floor, mean_fps)) = match stream {
+            Some(sink) => (sink.mtp_percentiles(), sink.fps_stats()),
+            None => {
+                // One sort serves all three percentile queries.
+                let mtps = SortedSamples::new(
+                    sessions
+                        .iter()
+                        .flat_map(|s| s.frames.iter().map(|f| f.mtp_ms))
+                        .collect(),
+                );
+                // Sessions that recorded no frames (possible for a churn
+                // join that leaves immediately) carry no FPS signal: their
+                // `fps()` is a 0-over-span division, which would drag the
+                // floor to a meaningless 0 and dilute the mean, so they are
+                // excluded from the rate stats.
+                let fps: Vec<f64> = sessions
+                    .iter()
+                    .filter(|s| !s.frames.is_empty())
+                    .map(RunSummary::fps)
+                    .collect();
+                let floor = fps.iter().copied().fold(f64::INFINITY, f64::min);
+                let mean = if fps.is_empty() {
+                    0.0
+                } else {
+                    fps.iter().sum::<f64>() / fps.len() as f64
+                };
+                let floor = if floor.is_finite() { floor } else { 0.0 };
+                ((mtps.p50(), mtps.p95(), mtps.p99()), (floor, mean))
+            }
         };
         FleetSummary {
-            mtp_p50_ms: mtps.p50(),
-            mtp_p95_ms: mtps.p95(),
-            mtp_p99_ms: mtps.p99(),
-            fps_floor: if fps_floor.is_finite() {
-                fps_floor
-            } else {
-                0.0
-            },
-            mean_fps,
             sessions,
             makespan_ms,
+            mtp_p50_ms,
+            mtp_p95_ms,
+            mtp_p99_ms,
+            fps_floor,
+            mean_fps,
             server_utilization,
             server_units,
             shared_network,
@@ -790,6 +529,7 @@ impl FleetSummary {
     ) -> Self {
         let mut summary = FleetSummary::aggregate(
             sessions,
+            None,
             makespan_ms,
             server_utilization,
             server_units,
@@ -824,6 +564,7 @@ impl FleetSummary {
             .collect();
         let mut summary = FleetSummary::aggregate(
             sessions,
+            None,
             self.makespan_ms,
             self.server_utilization,
             self.server_units,
@@ -1450,7 +1191,7 @@ mod tests {
         // retirement must still drop exactly the engine-history prefix and
         // leave every output bit unchanged versus an unwindowed run.
         let mut plain =
-            FleetConfig::uniform(cfg(), SchemeKind::Qvr, Benchmark::Hl2H.profile(), 4, 40, 7);
+            FleetConfig::uniform(cfg(), SchemeKind::Qvr, Benchmark::Hl2H.profile(), 4, 60, 7);
         let mut windowed = plain.clone();
         windowed.retire_window_ms = Some(300.0);
         plain.retire_window_ms = None;
@@ -1477,5 +1218,71 @@ mod tests {
         );
         assert_eq!(drop_engine.retire_before(0.0), 0);
         assert_eq!(drop_engine.retired_tasks(), retired);
+    }
+
+    #[test]
+    fn peak_live_tasks_sees_the_peak_before_every_retirement() {
+        // The gauge is the peak *at any point*, not the residue left after
+        // the last retirement: a windowed virtual-time fleet stepped by
+        // hand must report at least the largest live-interval count its
+        // engine held after any step.
+        let mut config =
+            FleetConfig::uniform(cfg(), SchemeKind::Qvr, Benchmark::Hl2H.profile(), 4, 100, 3);
+        config.stepping = SteppingPolicy::VirtualTime;
+        config.retire_window_ms = Some(300.0);
+        let mut fleet = Fleet::new(config);
+        let engine = fleet.shared_engine();
+        let mut seen = 0;
+        while fleet.step_next().is_some() {
+            seen = seen.max(engine.max_live_intervals());
+        }
+        assert!(engine.retired_tasks() > 0, "history must actually retire");
+        assert!(
+            seen > engine.max_live_intervals(),
+            "retirement must have cut live state below its peak"
+        );
+        let summary = fleet.finish();
+        assert!(
+            summary.peak_live_tasks >= seen,
+            "peak_live_tasks {} missed a stepped peak of {seen}",
+            summary.peak_live_tasks
+        );
+    }
+
+    fn retiring(window_ms: f64) -> FleetConfig {
+        let mut config =
+            FleetConfig::uniform(cfg(), SchemeKind::Qvr, Benchmark::Grid.profile(), 2, 5, 1);
+        config.retire_window_ms = Some(window_ms);
+        config
+    }
+
+    #[test]
+    #[should_panic(expected = "retire_window_ms")]
+    fn nan_retire_window_rejected() {
+        let _ = Fleet::new(retiring(f64::NAN));
+    }
+
+    #[test]
+    #[should_panic(expected = "retire_window_ms")]
+    fn zero_retire_window_rejected() {
+        let _ = Fleet::new(retiring(0.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "link_streams")]
+    fn zero_streams_on_a_shared_link_rejected() {
+        let mut config =
+            FleetConfig::uniform(cfg(), SchemeKind::Qvr, Benchmark::Grid.profile(), 2, 5, 1);
+        config.link_streams = 0;
+        let _ = Fleet::new(config);
+    }
+
+    #[test]
+    fn zero_streams_are_ignored_without_a_shared_link() {
+        let mut config =
+            FleetConfig::uniform(cfg(), SchemeKind::Qvr, Benchmark::Grid.profile(), 2, 5, 1);
+        config.shared_network = false;
+        config.link_streams = 0;
+        assert_eq!(Fleet::run(config).len(), 2);
     }
 }

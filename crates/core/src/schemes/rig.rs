@@ -43,6 +43,19 @@ impl ServerPool {
         }
     }
 
+    /// A fresh engine with a `units`-unit server pool on it: the substrate
+    /// both a private rig and a fleet build on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `units` is zero.
+    #[must_use]
+    pub(crate) fn with_engine(units: usize) -> (SharedEngine, Self) {
+        let engine = SharedEngine::new();
+        let pool = ServerPool::on(&engine, units);
+        (engine, pool)
+    }
+
     /// The remote-GPU pool.
     #[must_use]
     pub fn rgpu(&self) -> PoolId {
@@ -164,9 +177,8 @@ impl Rig {
     /// original evaluation setup: one user, one server, one channel).
     #[must_use]
     pub fn new(config: &SystemConfig, seed: u64) -> Self {
-        let engine = SharedEngine::new();
+        let (engine, server) = ServerPool::with_engine(1);
         let channel = SharedChannel::new(NetworkChannel::new(config.network, seed));
-        let server = ServerPool::on(&engine, 1);
         let directive = UnitDirective::whole_pool(1);
         Self::build(config, engine, channel, server, None, false, directive)
     }

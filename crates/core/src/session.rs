@@ -6,8 +6,9 @@
 //! one user could exist. A [`Session`] splits that apart — the scheme
 //! contributes only a per-frame stepper, while the session owns the rig
 //! (resources + channel view) and the app state. Sessions can therefore be
-//! driven individually ([`SchemeKind::session`]) or interleaved round-robin
-//! on shared resources by a [`crate::fleet::Fleet`].
+//! driven individually ([`SchemeKind::session`]) or interleaved on shared
+//! resources by the fleet engine ([`crate::churn::ChurnFleet`], which a
+//! [`crate::fleet::Fleet`] wraps).
 
 use crate::metrics::RunSummary;
 use crate::sched::UnitDirective;

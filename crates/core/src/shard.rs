@@ -6,11 +6,14 @@
 //! collaborative VR is *many rooms*, not one: a metro-scale service runs
 //! thousands of independent server+AP cells. This module models exactly
 //! that topology. A [`Shard`] routes a roster of [`SessionSpec`]s across
-//! `cells` independent cells (each a full `Fleet` — or, driven manually, a
-//! [`crate::churn::ChurnFleet`] — with its own [`qvr_sim::SharedEngine`]
-//! pools and link), runs the cells on a bounded worker pool
+//! `cells` independent cells, runs the cells on a bounded worker pool
 //! ([`qvr_sim::parallel_map_with`]), and merges the results into one
-//! [`ShardSummary`] with fleet-identical aggregates.
+//! [`ShardSummary`] with fleet-identical aggregates. Each cell is an
+//! instance of the one fleet engine, [`crate::churn::ChurnFleet`], with
+//! its own [`qvr_sim::SharedEngine`] pools and link: a fixed-roster
+//! [`Fleet`] under [`Shard::run`], or an open roster driven manually.
+//! Either way the cell finishes through the one
+//! [`crate::churn::ChurnFleet::finish_cell`].
 //!
 //! # The telemetry seam is the only wire
 //!
@@ -578,7 +581,7 @@ impl Shard {
             .workers
             .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, |w| w.get()));
         let cells = qvr_sim::parallel_map_with(workers, &cell_configs, |(cell, fleet)| {
-            Fleet::new(fleet.clone()).finish_cell(*cell)
+            Fleet::new(fleet.clone()).core.finish_cell(*cell)
         });
         let mut summary = ShardSummary::merge(cells);
         summary.spilled = routing.spilled;
@@ -672,7 +675,7 @@ mod tests {
                 let mut fleet = config.template.clone();
                 fleet.sessions = specs.clone();
                 fleet.seed = cell_seed(config.template.seed, c);
-                Fleet::new(fleet).finish_cell(c)
+                Fleet::new(fleet).core.finish_cell(c)
             })
             .collect();
         let forward = ShardSummary::merge(cells.clone());
@@ -686,7 +689,7 @@ mod tests {
     fn merge_rejects_duplicate_cell_ids() {
         let mut fleet = template(3, 1);
         fleet.sessions = roster(2);
-        let cell = Fleet::new(fleet).finish_cell(5);
+        let cell = Fleet::new(fleet).core.finish_cell(5);
         let _ = ShardSummary::merge(vec![cell.clone(), cell]);
     }
 

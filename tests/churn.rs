@@ -101,11 +101,11 @@ fn uniform_fleets_agree_across_stepping_policies() {
 /// Peak spread between session clocks over a whole run: the §7 skew.
 fn peak_skew_ms(mut fleet: Fleet, frames: usize) -> f64 {
     let mut peak = 0.0f64;
-    let mut measure = |sessions: &[Session]| {
+    let mut measure = |sessions: &[&Session]| {
         let unfinished: Vec<f64> = sessions
             .iter()
             .filter(|s| s.frames_stepped() > 0 && s.frames_stepped() < frames)
-            .map(Session::last_display_end)
+            .map(|s| s.last_display_end())
             .collect();
         if unfinished.len() >= 2 {
             let min = unfinished.iter().copied().fold(f64::INFINITY, f64::min);
@@ -117,12 +117,12 @@ fn peak_skew_ms(mut fleet: Fleet, frames: usize) -> f64 {
         SteppingPolicy::RoundRobin => {
             for _ in 0..frames {
                 fleet.step_round();
-                measure(fleet.sessions());
+                measure(&fleet.sessions());
             }
         }
         SteppingPolicy::VirtualTime => {
             while fleet.step_next().is_some() {
-                measure(fleet.sessions());
+                measure(&fleet.sessions());
             }
         }
     }
@@ -385,4 +385,171 @@ fn fleet_retirement_keeps_aggregates_bit_identical() {
         "history must actually retire"
     );
     assert!(drop_engine.live_tasks() < keep_engine.live_tasks());
+}
+
+/// FNV-1a over raw `u64` words — the churn goldens' fingerprint, so a
+/// single drifted bit anywhere in a run changes the pinned value.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn u64(&mut self, v: u64) {
+        for b in v.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn f64(&mut self, v: f64) {
+        self.u64(v.to_bits());
+    }
+}
+
+/// Fingerprint of a churn run's outputs: every tenant's per-frame MTP and
+/// bytes, the occupancy timeline, the fleet energy, and the streamed
+/// windows.
+fn churn_fingerprint(s: &ChurnSummary) -> u64 {
+    let mut h = Fnv::new();
+    for t in &s.tenants {
+        h.u64(t.ordinal as u64);
+        h.f64(t.joined_ms);
+        h.f64(t.left_ms);
+        for f in &t.summary.frames {
+            h.f64(f.mtp_ms);
+            h.f64(f.tx_bytes);
+        }
+    }
+    for (at, n) in &s.occupancy {
+        h.f64(*at);
+        h.u64(*n as u64);
+    }
+    let e = s.energy;
+    for v in [
+        e.server_render_mj,
+        e.server_encode_mj,
+        e.server_idle_mj,
+        e.ap_radio_mj,
+        e.client_mj,
+    ] {
+        h.f64(v);
+    }
+    for (start, n, p95) in &s.windows {
+        h.f64(*start);
+        h.u64(*n as u64);
+        h.f64(*p95);
+    }
+    h.0
+}
+
+/// A scripted open roster with no admission gate: mixed schemes, two
+/// joins, two leaves.
+fn scripted_churn() -> ChurnConfig {
+    let spec = |i: usize| {
+        let schemes = [
+            SchemeKind::Qvr,
+            SchemeKind::Ffr,
+            SchemeKind::RemoteOnly,
+            SchemeKind::LocalOnly,
+        ];
+        let apps = [Benchmark::Hl2H, Benchmark::Doom3L, Benchmark::Wolf];
+        SessionSpec::new(schemes[i % 4], apps[i % 3].profile())
+    };
+    let trace = ChurnTrace::script(vec![
+        ChurnEvent::join(120.0, spec(2)),
+        ChurnEvent::leave(260.0, 0),
+        ChurnEvent::join(300.0, spec(3)),
+        ChurnEvent::leave(450.0, 2),
+    ]);
+    ChurnConfig::new(
+        SystemConfig::default(),
+        vec![spec(0), spec(1)],
+        trace,
+        600.0,
+        29,
+    )
+}
+
+/// A `churn_cells`-shaped cell: Poisson arrivals over six schemes, the
+/// default admission gate, weighted fairness, rate control on, 300 ms
+/// retirement, and deferred 200 ms windowed statistics.
+fn gated_churn() -> ChurnConfig {
+    let schemes = [
+        SchemeKind::Qvr,
+        SchemeKind::Ffr,
+        SchemeKind::QvrSw,
+        SchemeKind::RemoteOnly,
+        SchemeKind::StaticCollab,
+        SchemeKind::LocalOnly,
+    ];
+    let apps = Benchmark::all();
+    let spec = |k: usize| SessionSpec::new(schemes[k % 6], apps[k % apps.len()].profile());
+    let initial: Vec<SessionSpec> = (0..2).map(spec).collect();
+    let trace = ChurnTrace::poisson(41, 5.0, 450.0, 1_300.0, 2, |k| spec(k + 2));
+    let mut config = ChurnConfig::new(SystemConfig::default(), initial, trace, 1_300.0, 41)
+        .with_admission(AdmissionPolicy::default())
+        .with_fairness(FairnessPolicy::Weighted)
+        .with_rate_control(RateControlConfig::on())
+        .with_retire_window_ms(300.0);
+    config.telemetry = config
+        .telemetry
+        .with_window_ms(200.0)
+        .with_deferred_windows();
+    config
+}
+
+/// Pins one churn config's run and cell bundle to captured values:
+/// `(fingerprint, [rejected, degraded, upgrades, total_tasks,
+/// retired_tasks, peak_live_per_resource], [cell frames, makespan bits,
+/// server-busy bits])`.
+fn assert_churn_golden(config: &ChurnConfig, golden: (u64, [usize; 6], [u64; 3])) {
+    let s = ChurnFleet::run(config.clone());
+    let mut fleet = ChurnFleet::new(config.clone());
+    fleet.enable_cell_sinks();
+    let cell = fleet.finish_cell(0);
+    let got = (
+        churn_fingerprint(&s),
+        [
+            s.rejected,
+            s.degraded,
+            s.upgrades,
+            s.total_tasks,
+            s.retired_tasks,
+            s.peak_live_per_resource,
+        ],
+        [
+            cell.frames as u64,
+            cell.makespan_ms.to_bits(),
+            cell.server_busy_ms.to_bits(),
+        ],
+    );
+    assert_eq!(got, golden, "churn bits drifted from the captured golden");
+}
+
+#[test]
+fn churn_golden_scripted_roster() {
+    assert_churn_golden(
+        &scripted_churn(),
+        (
+            7_596_858_970_003_406_663,
+            [0, 0, 0, 2712, 0, 309],
+            [118, 4_648_948_158_609_113_977, 4_637_006_829_595_931_186],
+        ),
+    );
+}
+
+#[test]
+fn churn_golden_gated_cell() {
+    let config = gated_churn();
+    assert!(config.admission.is_some() && config.retire_window_ms.is_some());
+    assert_churn_golden(
+        &config,
+        (
+            16_342_085_255_218_220_149,
+            [6, 2, 0, 5045, 3363, 109],
+            [209, 4_653_489_172_910_133_709, 4_637_553_367_085_880_114],
+        ),
+    );
 }
