@@ -8,7 +8,7 @@ use qvr::core::uca::{FoveatedFrame, Uca, WarpParams};
 use qvr::core::FoveationPlan;
 use qvr::gpu::{Framebuffer, Mat4, RasterPipeline, Rgba, Triangle, Vec3, Vertex};
 use qvr::prelude::*;
-use qvr::scene::MotionDelta;
+use qvr::scene::{ComplexityField, MotionDelta, TriangleFractionCache};
 
 fn bench_liwc(c: &mut Criterion) {
     let mut group = c.benchmark_group("liwc");
@@ -57,6 +57,32 @@ fn bench_liwc(c: &mut Criterion) {
                 GazePoint::center(),
             ))
         })
+    });
+    group.finish();
+}
+
+/// The per-gaze geometry LIWC's inputs come from: a triangle fraction at a
+/// gaze the cache has not seen (one denominator pass plus a numerator), and
+/// one clipped-disc area evaluation, both off-centre where the panel clips
+/// the disc.
+fn bench_geometry(c: &mut Criterion) {
+    let mut group = c.benchmark_group("geometry");
+    let display = DisplayGeometry::vive_pro_class();
+    let field = ComplexityField::default();
+    let gaze = GazePoint::clamped(0.3, -0.2);
+    group.bench_function("triangle_fraction_cached/new_gaze", |b| {
+        b.iter(|| {
+            let mut cache = TriangleFractionCache::new();
+            black_box(field.triangle_fraction_cached(
+                black_box(24.0),
+                &display,
+                black_box(gaze),
+                &mut cache,
+            ))
+        })
+    });
+    group.bench_function("fovea_area_fraction/off_centre", |b| {
+        b.iter(|| black_box(display.fovea_area_fraction(black_box(24.0), black_box(gaze))))
     });
     group.finish();
 }
@@ -164,6 +190,7 @@ fn bench_pipeline(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_liwc,
+    bench_geometry,
     bench_uca,
     bench_rasterizer,
     bench_codec,

@@ -88,16 +88,19 @@ impl ComplexityField {
             return 0.0;
         }
         let e_max = display.max_eccentricity().0 * 1.5;
-        let num = self.integrate(e1_deg.min(e_max), display, gaze);
-        let den = self.integrate(e_max, display, gaze);
+        let num = self.integrate(e1_deg.min(e_max), display, gaze, None);
+        let den = self.integrate(e_max, display, gaze, None);
         Self::fraction_of(num, den)
     }
 
-    /// `triangle_fraction` through a per-frame memo (see
-    /// [`TriangleFractionCache`]): the gaze-wide denominator integral is
-    /// computed once per gaze and each distinct `e1` once. Results are
-    /// bit-identical to [`ComplexityField::triangle_fraction`] — the cache
-    /// only skips recomputing integrals it has already run.
+    /// `triangle_fraction` through a per-gaze memo (see
+    /// [`TriangleFractionCache`]). The first call at a gaze runs the
+    /// gaze-wide denominator integral once and records its running ring sum
+    /// at every grid radius. Every numerator at that gaze is then a prefix
+    /// lookup plus at most one partial ring (one area evaluation), and a
+    /// repeated `e1` is a plain memo hit. Results are bit-identical to
+    /// [`ComplexityField::triangle_fraction`]: a numerator's prefix is the
+    /// same float adds in the same order as the uncached loop runs.
     #[must_use]
     pub fn triangle_fraction_cached(
         &self,
@@ -114,15 +117,18 @@ impl ComplexityField {
             return frac;
         }
         let e_max = display.max_eccentricity().0 * 1.5;
-        let num = self.integrate(e1_deg.min(e_max), display, gaze);
         let den = match cache.den {
             Some(den) => den,
             None => {
-                let den = self.integrate(e_max, display, gaze);
+                // Grid radii 0, STEP, …, up to e_max.
+                cache.prefix.reserve(grid_index(e_max) + 1);
+                cache.prefix.push((0.0, 0.0));
+                let den = self.integrate(e_max, display, gaze, Some(&mut *cache));
                 cache.den = Some(den);
                 den
             }
         };
+        let num = self.prefix_integral(e1_deg.min(e_max), display, gaze, cache);
         let frac = Self::fraction_of(num, den);
         cache.insert(e1_deg, frac);
         frac
@@ -136,7 +142,16 @@ impl ComplexityField {
         }
     }
 
-    fn integrate(&self, upto_deg: f64, display: &DisplayGeometry, gaze: GazePoint) -> f64 {
+    /// The ring integral out to `upto_deg`. With a cache, every full ring
+    /// also appends `(running sum, area)` to its prefix and every area
+    /// evaluation is counted.
+    fn integrate(
+        &self,
+        upto_deg: f64,
+        display: &DisplayGeometry,
+        gaze: GazePoint,
+        mut cache: Option<&mut TriangleFractionCache>,
+    ) -> f64 {
         // Once a grid radius certainly covers the whole clipped panel, every
         // later ring is the difference of two bit-identical saturated areas
         // — exactly 0.0 — so the loop can stop. `saturation_radius` is
@@ -157,29 +172,94 @@ impl ComplexityField {
             let ring = (area - prev_area).max(0.0);
             sum += ring * self.density(e - Self::STEP / 2.0);
             prev_area = area;
+            if let Some(cache) = cache.as_deref_mut() {
+                cache.area_evaluations += 1;
+                cache.prefix.push((sum, area));
+            }
             e += Self::STEP;
         }
-        // Partial last ring.
-        let rem = upto_deg - (e - Self::STEP);
-        if rem > 1e-9 {
-            let area = display.fovea_area_fraction(upto_deg, gaze);
-            let ring = (area - prev_area).max(0.0);
-            sum += ring * self.density(upto_deg - rem / 2.0);
+        let grid = (sum, prev_area);
+        self.partial_ring(upto_deg, e - Self::STEP, grid, display, gaze, cache)
+    }
+
+    /// The running sum `grid.0` at the grid radius `grid_deg` (clipped-disc
+    /// area `grid.1`), plus the partial last ring out to `upto_deg` if that
+    /// ring is wider than 1e-9°.
+    fn partial_ring(
+        &self,
+        upto_deg: f64,
+        grid_deg: f64,
+        (sum, prev_area): (f64, f64),
+        display: &DisplayGeometry,
+        gaze: GazePoint,
+        cache: Option<&mut TriangleFractionCache>,
+    ) -> f64 {
+        let rem = upto_deg - grid_deg;
+        if rem <= 1e-9 {
+            return sum;
         }
-        sum
+        if let Some(cache) = cache {
+            cache.area_evaluations += 1;
+        }
+        let area = display.fovea_area_fraction(upto_deg, gaze);
+        let ring = (area - prev_area).max(0.0);
+        sum + ring * self.density(upto_deg - rem / 2.0)
+    }
+
+    /// `integrate(upto_deg)` read from the denominator's recorded prefix,
+    /// for any `upto_deg` no larger than the denominator's. The uncached
+    /// loop runs the grid radii `k·STEP <= upto_deg + 1e-9`, a prefix of
+    /// the denominator's, so its running sum after the last one is the
+    /// recorded one, and it then adds the same partial ring.
+    fn prefix_integral(
+        &self,
+        upto_deg: f64,
+        display: &DisplayGeometry,
+        gaze: GazePoint,
+        cache: &mut TriangleFractionCache,
+    ) -> f64 {
+        let k = grid_index(upto_deg);
+        let last = cache.prefix.len() - 1;
+        if k > last {
+            // The denominator ran every radius up to `k` unless saturation
+            // stopped it first, which stops the uncached loop at the same
+            // ring.
+            return cache.prefix[last].0;
+        }
+        let grid = cache.prefix[k];
+        // k·STEP is exact: the loop's `e += STEP` only visits multiples of
+        // 0.5, which f64 represents exactly at these magnitudes.
+        let grid_deg = k as f64 * Self::STEP;
+        self.partial_ring(upto_deg, grid_deg, grid, display, gaze, Some(cache))
     }
 }
 
-/// Per-frame memo for [`ComplexityField::triangle_fraction_cached`].
+/// Index of the last grid radius `k·STEP` that `integrate`'s loop condition
+/// `k·STEP <= upto_deg + 1e-9` admits. Halving and doubling are exact, so
+/// `floor((upto + 1e-9) / STEP)` is exactly that `k`.
+fn grid_index(upto_deg: f64) -> usize {
+    ((upto_deg + 1e-9) / ComplexityField::STEP).floor() as usize
+}
+
+/// Per-gaze memo for [`ComplexityField::triangle_fraction_cached`].
 ///
-/// Keyed by the gaze point's raw bits: a new gaze clears everything. One
-/// cache belongs to ONE (field, display) pair — steppers own one per
-/// session; sharing across profiles would mix incompatible integrals.
+/// Keyed by the gaze point's raw bits: a new gaze clears everything (the
+/// buffers keep their capacity, so a warmed-up cache allocates nothing).
+/// For the current gaze it holds the denominator, the denominator's running
+/// ring sum and clipped-disc area at every grid radius, and each `e1`
+/// already answered. One cache belongs to ONE (field, display) pair —
+/// steppers own one per session; sharing across profiles would mix
+/// incompatible integrals.
 #[derive(Debug, Clone, Default)]
 pub struct TriangleFractionCache {
     gaze: Option<(u64, u64)>,
     den: Option<f64>,
+    /// `(running ring sum, clipped-disc area)` after grid radius `k·STEP`,
+    /// at index `k`, with `(0, 0)` at index 0. It ends at the denominator's
+    /// last full ring, or at the last ring before saturation stopped it.
+    prefix: Vec<(f64, f64)>,
     entries: Vec<(u64, f64)>,
+    area_evaluations: u64,
 }
 
 impl TriangleFractionCache {
@@ -189,11 +269,22 @@ impl TriangleFractionCache {
         Self::default()
     }
 
+    /// Clipped-disc area evaluations
+    /// ([`DisplayGeometry::fovea_area_fraction`] calls) this cache has made
+    /// over its lifetime: a deterministic work counter. A new gaze costs
+    /// one denominator pass, any later `e1` at that gaze at most one more
+    /// evaluation, and a repeated `e1` none.
+    #[must_use]
+    pub fn area_evaluations(&self) -> u64 {
+        self.area_evaluations
+    }
+
     fn rekey(&mut self, gaze: GazePoint) {
         let key = (gaze.x.to_bits(), gaze.y.to_bits());
         if self.gaze != Some(key) {
             self.gaze = Some(key);
             self.den = None;
+            self.prefix.clear();
             self.entries.clear();
         }
     }
