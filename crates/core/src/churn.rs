@@ -41,15 +41,16 @@
 use crate::admission::{AdmissionController, AdmissionDecision, AdmissionPolicy};
 use crate::clock::{FleetClock, SteppingPolicy};
 use crate::fleet::{session_seed, SessionSpec};
-use crate::metrics::{RunSummary, SortedSamples};
+use crate::metrics::RunSummary;
 use crate::sched::ServerPolicy;
 use crate::schemes::{ServerPool, SystemConfig};
 use crate::session::Session;
 use crate::telemetry::{
     client_energy_mj, AggregateSink, FrameEvent, SinkSet, TelemetryConfig, TelemetrySink,
+    WindowedStatsSink,
 };
 use qvr_energy::FleetEnergy;
-use qvr_net::{FairnessPolicy, LinkShare, NetworkChannel, SharedChannel};
+use qvr_net::{FairnessPolicy, NetworkChannel, SharedChannel};
 use qvr_sim::SharedEngine;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -231,18 +232,11 @@ pub struct ChurnConfig {
     /// Whether joiners warm-start their LIWC at the live fleet's mean
     /// operating eccentricity instead of the cold default.
     pub warm_start: bool,
-    /// Whether an *open critical* SLO incident (see
-    /// [`TelemetryConfig::with_health`]) forces joiners in on a degraded
-    /// link share — the health monitor acting as a lightweight
-    /// load-shedding trigger when no admission gate is configured. With an
-    /// [`AdmissionPolicy`] the controller's probe governs and this flag is
-    /// ignored (the monitor only observes).
-    pub health_degrade: bool,
     /// Which built-in telemetry sinks stream this run's frame events
-    /// (default-on). With [`TelemetryConfig::window_ms`] set, the MTP
-    /// timeline streams through a [`crate::telemetry::WindowedStatsSink`] at O(window) live
-    /// memory and [`ChurnSummary::samples`] stays empty — the scalable
-    /// replacement for the per-run series.
+    /// (default-on). The windowed MTP timeline
+    /// ([`ChurnSummary::windows`]) is streamed by a
+    /// [`crate::telemetry::WindowedStatsSink`] at O(window) live memory
+    /// when [`TelemetryConfig::window_ms`] is set; nothing else retains it.
     pub telemetry: TelemetryConfig,
 }
 
@@ -272,18 +266,8 @@ impl ChurnConfig {
             admission: None,
             retire_window_ms: None,
             warm_start: true,
-            health_degrade: false,
             telemetry: TelemetryConfig::default(),
         }
-    }
-
-    /// Returns a copy that streams its MTP timeline through a
-    /// [`crate::telemetry::WindowedStatsSink`] at this bucket width instead of retaining the
-    /// O(run) sample series.
-    #[must_use]
-    pub fn with_stats_window_ms(mut self, window_ms: f64) -> Self {
-        self.telemetry = self.telemetry.with_window_ms(window_ms);
-        self
     }
 
     /// Returns a copy with a server scheduling policy.
@@ -332,15 +316,6 @@ impl ChurnConfig {
         self.warm_start = false;
         self
     }
-
-    /// Returns a copy where an open critical health incident degrades
-    /// joiners' link shares (see [`ChurnConfig::health_degrade`]); only
-    /// meaningful together with [`TelemetryConfig::with_health`] rules.
-    #[must_use]
-    pub fn with_health_degrade(mut self) -> Self {
-        self.health_degrade = true;
-        self
-    }
 }
 
 /// One tenant's lifecycle record in a churn run.
@@ -377,16 +352,15 @@ pub struct ChurnSummary {
     /// Every tenant that ever joined, in departure order (survivors last,
     /// in arrival-ordinal order).
     pub tenants: Vec<TenantRecord>,
-    /// `(display_end_ms, mtp_ms)` for every frame displayed, in step order
-    /// (the raw series behind [`ChurnSummary::windowed_p95`]). **Empty**
-    /// when the run streamed its timeline instead
-    /// ([`ChurnConfig::with_stats_window_ms`]) — read
-    /// [`ChurnSummary::windows`] there.
-    pub samples: Vec<(f64, f64)>,
-    /// The streamed windowed-p95 timeline `(start_ms, frames, p95_ms)`
-    /// when stats streaming was configured; empty otherwise. Same bucket
-    /// convention (and bit-identical values) as
-    /// [`ChurnSummary::windowed_p95`] over the retained series.
+    /// The p95 motion-to-photon timeline `(window_start_ms, frames,
+    /// p95_ms)`, one entry per window of
+    /// [`TelemetryConfig::window_ms`] virtual time with at least one
+    /// displayed frame — the series that shows tails spiking at join
+    /// bursts and recovering after reclaim. Buckets are uniformly
+    /// half-open, `[k·w, (k+1)·w)` on display end, so a frame that
+    /// overshoots the horizon lands in the bucket its time falls in.
+    /// Streamed by the [`crate::telemetry::WindowedStatsSink`]; empty when
+    /// no window width was configured.
     pub windows: Vec<(f64, usize, f64)>,
     /// Largest raw-sample count the streaming stats sink ever held live
     /// (0 when streaming was off) — the O(window) memory bound the
@@ -441,47 +415,6 @@ impl ChurnSummary {
         self.occupancy.iter().map(|(_, n)| *n).max().unwrap_or(0)
     }
 
-    /// p95 motion-to-photon latency per fixed window of virtual time:
-    /// `(window_start_ms, frames, p95_ms)` for each window with at least
-    /// one displayed frame. This is the series that shows tails spiking at
-    /// join bursts and recovering after reclaim.
-    ///
-    /// Buckets are uniformly **half-open**: bucket `k` covers
-    /// `[k·window, (k+1)·window)`, so a sample at an interior boundary
-    /// `k·window` belongs to bucket `k`, and a sample at or past
-    /// `horizon_ms` (a final frame can overshoot the horizon) gets the
-    /// bucket its time actually falls in — an earlier version clamped it
-    /// *down* into the last pre-horizon bucket, treating the horizon
-    /// boundary differently from every interior one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window_ms` is not positive-finite.
-    #[must_use]
-    pub fn windowed_p95(&self, window_ms: f64) -> Vec<(f64, usize, f64)> {
-        assert!(
-            window_ms.is_finite() && window_ms > 0.0,
-            "window must be positive"
-        );
-        let buckets = qvr_sim::checked::ceil_index(self.horizon_ms / window_ms).max(1);
-        let mut per: Vec<Vec<f64>> = vec![Vec::new(); buckets];
-        for (t, mtp) in &self.samples {
-            let b = qvr_sim::checked::floor_index(t / window_ms);
-            if b >= per.len() {
-                per.resize(b + 1, Vec::new());
-            }
-            per[b].push(*mtp);
-        }
-        per.into_iter()
-            .enumerate()
-            .filter(|(_, v)| !v.is_empty())
-            .map(|(b, v)| {
-                let n = v.len();
-                (b as f64 * window_ms, n, SortedSamples::new(v).p95())
-            })
-            .collect()
-    }
-
     /// Live session count at a virtual time (0 before the first join).
     #[must_use]
     pub fn live_at(&self, t_ms: f64) -> usize {
@@ -505,7 +438,7 @@ impl fmt::Display for ChurnSummary {
             self.rejected,
             self.degraded,
             self.upgrades,
-            self.samples.len(),
+            self.tenants.iter().map(|t| t.summary.len()).sum::<usize>(),
         )
     }
 }
@@ -554,7 +487,6 @@ pub struct ChurnFleet {
     server_policy: ServerPolicy,
     retire_window_ms: Option<f64>,
     warm_start: bool,
-    health_degrade: bool,
     pub(crate) engine: SharedEngine,
     pub(crate) server: ServerPool,
     /// The shared link; `None` when every tenant holds a private channel.
@@ -595,7 +527,6 @@ pub struct ChurnFleet {
     rounds_done: usize,
     // --- outputs under construction ---
     finished: Vec<TenantRecord>,
-    samples: Vec<(f64, f64)>,
     occupancy: Vec<(f64, usize)>,
     rejected: usize,
     degraded: usize,
@@ -721,7 +652,6 @@ impl ChurnFleet {
             server_policy: config.server_policy,
             retire_window_ms: config.retire_window_ms,
             warm_start: config.warm_start,
-            health_degrade: config.health_degrade,
             engine,
             server,
             link,
@@ -738,7 +668,6 @@ impl ChurnFleet {
             event_buf: Vec::with_capacity(initial.len()),
             rounds_done: 0,
             finished: Vec::new(),
-            samples: Vec::new(),
             occupancy: Vec::new(),
             rejected: 0,
             degraded: 0,
@@ -853,9 +782,8 @@ impl ChurnFleet {
         self.advance_frontier();
     }
 
-    /// Steps the tenant in `slot` one frame: keeps its sample and, under
-    /// virtual time, reschedules it while it has budget left before the
-    /// horizon.
+    /// Steps the tenant in `slot` one frame and, under virtual time,
+    /// reschedules it while it has budget left before the horizon.
     fn step_slot(&mut self, slot: usize) -> FrameEvent {
         let ordinal = self.slots[slot].expect("stepped slots are occupied");
         let session = &mut self.live[ordinal]
@@ -867,11 +795,6 @@ impl ChurnFleet {
             && self.budget.is_none_or(|b| session.frames_stepped() < b);
         if more && self.stepping == SteppingPolicy::VirtualTime {
             self.clock.schedule(slot, event.end_ms);
-        }
-        // Only open rosters that do not stream their timeline keep the
-        // O(run) sample series.
-        if self.budget.is_none() && self.sinks.windowed.is_none() {
-            self.samples.push((event.end_ms, event.mtp_ms));
         }
         event
     }
@@ -953,21 +876,7 @@ impl ChurnFleet {
                 self.roster_ordinals.push(ordinal);
                 (decision, c.admitted().last().expect("just joined").clone())
             }
-            None => {
-                // Health-driven load shedding: with no admission gate, an
-                // open critical SLO incident forces the joiner in on a
-                // quarter link share (it still joins — the monitor can
-                // only degrade, never reject).
-                if self.health_degrade && self.sinks.health_open_critical() {
-                    self.degraded += 1;
-                    (
-                        AdmissionDecision::Degraded,
-                        spec.with_share(LinkShare::weighted(0.25)),
-                    )
-                } else {
-                    (AdmissionDecision::Admitted, spec)
-                }
-            }
+            None => (AdmissionDecision::Admitted, spec),
         };
         let seed = session_seed(self.seed, ordinal);
         // Only tenants that actually move frame data over a shared link
@@ -1151,7 +1060,6 @@ impl ChurnFleet {
         let (windows, peak_open_samples) = self.sinks.windowed_finish();
         ChurnSummary {
             tenants,
-            samples: self.samples,
             windows,
             peak_open_samples,
             incidents: self.sinks.health_finish(),
@@ -1174,21 +1082,30 @@ impl ChurnFleet {
         ChurnFleet::new(config).finish()
     }
 
-    /// Switches the aggregate stream on, so this churn fleet can finalise
-    /// into the shard-cell bundle ([`ChurnFleet::finish_cell`]; closed
-    /// fleets stream it from construction). Must be called before any
-    /// frame has been stepped — a late-enabled sink would have missed
-    /// events and the cross-cell merge would silently under-count.
+    /// Puts the sinks into shard-cell mode, so this fleet can finalise
+    /// into the cell bundle ([`ChurnFleet::finish_cell`]): the aggregate
+    /// stream switches on, and a configured windowed sink defers all
+    /// bucket closing to finalisation so its state stays exactly mergeable
+    /// across cells ([`crate::telemetry::WindowedStatsSink::absorb`]). The
+    /// one place a cell's sink modes are decided — [`crate::shard::Shard`]
+    /// prepares its fleet cells here too. Must be called before any frame
+    /// has been stepped — a late-enabled sink would have missed events and
+    /// the cross-cell merge would silently under-count.
     ///
     /// # Panics
     ///
-    /// Panics if any frame event has already streamed.
+    /// Panics if any frame has already been stepped.
     pub fn enable_cell_sinks(&mut self) {
         assert!(
-            self.samples.is_empty() && self.engine.task_count() == 0,
+            self.engine.task_count() == 0,
             "cell sinks must be enabled before the first frame"
         );
         self.sinks.aggregate = Some(AggregateSink::new());
+        self.sinks.windowed = self
+            .sinks
+            .windowed
+            .take()
+            .map(|w| WindowedStatsSink::deferred(w.window_ms()));
     }
 
     /// Runs the remaining work and finalises into the bundle a shard cell
@@ -1197,9 +1114,8 @@ impl ChurnFleet {
     /// snapshot, metrics, incidents) plus scalar schedule facts — never
     /// the per-session frame histories, which die with the cell. Closed
     /// fleets always stream the aggregate; open rosters need
-    /// [`ChurnFleet::enable_cell_sinks`] at construction time. Configure
-    /// deferred windows ([`TelemetryConfig::with_deferred_windows`]) if
-    /// the windowed timeline should survive the merge.
+    /// [`ChurnFleet::enable_cell_sinks`] at construction time (which also
+    /// keeps a configured windowed timeline mergeable).
     ///
     /// # Panics
     ///
@@ -1235,6 +1151,7 @@ impl ChurnFleet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::SortedSamples;
     use crate::schemes::SchemeKind;
     use qvr_scene::Benchmark;
 
@@ -1386,53 +1303,23 @@ mod tests {
         );
     }
 
-    #[test]
-    fn windowed_p95_buckets_are_uniformly_half_open() {
-        // Interval convention: bucket k covers [k·w, (k+1)·w). A sample at
-        // an interior boundary k·w lands in bucket k, and a sample at
-        // exactly the horizon (or past it — final frames can overshoot)
-        // lands in the bucket its time falls in, never clamped down.
-        let summary = ChurnSummary {
-            tenants: Vec::new(),
-            samples: vec![
-                (0.0, 10.0),   // bucket 0 start
-                (99.9, 11.0),  // bucket 0 interior
-                (100.0, 20.0), // interior boundary → bucket 1, not 0
-                (300.0, 30.0), // exactly the horizon → bucket 3, not 2
-                (310.0, 31.0), // overshoot past the horizon → bucket 3
-            ],
-            windows: Vec::new(),
-            peak_open_samples: 0,
-            incidents: Vec::new(),
-            energy: FleetEnergy::default(),
-            occupancy: Vec::new(),
-            rejected: 0,
-            degraded: 0,
-            upgrades: 0,
-            dropped_leaves: 0,
-            horizon_ms: 300.0,
-            peak_live_per_resource: 0,
-            retired_tasks: 0,
-            total_tasks: 0,
-        };
-        let windows = summary.windowed_p95(100.0);
-        let starts: Vec<f64> = windows.iter().map(|(s, _, _)| *s).collect();
-        assert_eq!(starts, vec![0.0, 100.0, 300.0], "bucket 2 is empty");
-        let counts: Vec<usize> = windows.iter().map(|(_, n, _)| *n).collect();
-        assert_eq!(counts, vec![2, 1, 2]);
-        let (_, _, p95_boundary) = windows[1];
-        assert_eq!(
-            p95_boundary, 20.0,
-            "the interior-boundary sample belongs to its own bucket"
-        );
+    /// Forwards every frame event into a shared vector (the test's own
+    /// retained series).
+    #[derive(Debug)]
+    struct Recorder(std::rc::Rc<std::cell::RefCell<Vec<FrameEvent>>>);
+
+    impl TelemetrySink for Recorder {
+        fn on_frame(&mut self, event: &FrameEvent) {
+            self.0.borrow_mut().push(*event);
+        }
     }
 
     #[test]
     fn streamed_windows_match_the_retained_series_bit_for_bit() {
-        // The WindowedStatsSink replaces the O(run) sample series: the same
-        // churn run with streaming on must produce exactly the timeline the
-        // retained series derives post hoc, while holding no sample vector
-        // and only O(window) live stats memory.
+        // The WindowedStatsSink is the churn timeline: the same run with
+        // streaming on must produce exactly the half-open bucketing of the
+        // frame stream the test retains itself, while the sink holds only
+        // O(window) live samples.
         let window_ms = 120.0;
         let make = || {
             let trace = ChurnTrace::script(vec![
@@ -1448,26 +1335,59 @@ mod tests {
                 19,
             )
         };
-        let retained = ChurnFleet::run(make());
-        let streamed = ChurnFleet::run(make().with_stats_window_ms(window_ms));
-        assert!(streamed.samples.is_empty(), "streaming retains no series");
-        assert!(!retained.samples.is_empty());
-        let post_hoc = retained.windowed_p95(window_ms);
+        let plain = ChurnFleet::run(make());
+        assert!(plain.windows.is_empty(), "no width, no timeline");
+        let mut config = make();
+        config.telemetry = config.telemetry.with_window_ms(window_ms);
+        let events = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let mut fleet = ChurnFleet::new(config);
+        fleet.attach_sink(Box::new(Recorder(events.clone())));
+        let streamed = fleet.finish();
+        let events = events.borrow();
+        let mut buckets: std::collections::BTreeMap<usize, Vec<f64>> = Default::default();
+        for e in events.iter() {
+            let b = qvr_sim::checked::floor_index(e.end_ms / window_ms);
+            buckets.entry(b).or_default().push(e.mtp_ms);
+        }
+        let post_hoc: Vec<(f64, usize, f64)> = buckets
+            .into_iter()
+            .map(|(b, v)| (b as f64 * window_ms, v.len(), SortedSamples::new(v).p95()))
+            .collect();
         assert_eq!(
             streamed.windows, post_hoc,
-            "streamed timeline must match the post-hoc derivation exactly"
+            "streamed timeline must match the post-hoc bucketing exactly"
         );
+        let frames: usize = streamed.tenants.iter().map(|t| t.summary.len()).sum();
+        assert_eq!(events.len(), frames, "one event per tenant frame");
         assert!(streamed.peak_open_samples > 0);
         assert!(
-            streamed.peak_open_samples < retained.samples.len(),
-            "live stats memory must undercut the retained series: {} vs {}",
+            streamed.peak_open_samples < frames,
+            "live stats memory must undercut the run: {} vs {frames}",
             streamed.peak_open_samples,
-            retained.samples.len()
         );
         // Everything else about the run is unaffected by how stats stream.
-        assert_eq!(streamed.tenants, retained.tenants);
-        assert_eq!(streamed.occupancy, retained.occupancy);
-        assert_eq!(streamed.energy, retained.energy);
+        assert_eq!(streamed.tenants, plain.tenants);
+        assert_eq!(streamed.occupancy, plain.occupancy);
+        assert_eq!(streamed.energy, plain.energy);
+    }
+
+    #[test]
+    fn display_counts_the_tenants_frames_when_the_timeline_streams() {
+        let mut config = ChurnConfig::new(
+            SystemConfig::default(),
+            vec![spec(), spec()],
+            ChurnTrace::script(vec![ChurnEvent::join(150.0, spec())]),
+            400.0,
+            23,
+        );
+        config.telemetry = config.telemetry.with_window_ms(100.0);
+        let s = ChurnFleet::run(config);
+        let frames: usize = s.tenants.iter().map(|t| t.summary.len()).sum();
+        assert!(frames > 0);
+        assert!(
+            s.to_string().ends_with(&format!(", {frames} frames")),
+            "the frame count must not depend on how the timeline is kept: {s}"
+        );
     }
 
     #[test]

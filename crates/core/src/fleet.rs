@@ -225,7 +225,6 @@ impl Fleet {
             admission: None,
             retire_window_ms: config.retire_window_ms,
             warm_start: false,
-            health_degrade: false,
             telemetry: config.telemetry,
         };
         Fleet {

@@ -22,23 +22,19 @@
 //!   fleet scale (the exact `SortedSamples` path stays the default for
 //!   the golden numbers).
 //! * [`HealthMonitor`] — evaluates SLO rules ([`HealthRules`]: p95-MTP
-//!   ceiling, FPS floor, energy-per-frame budget, utilization band) over
-//!   sliding histogram windows as the fleet's closing frontier advances,
-//!   emitting a deterministic timestamped [`Incident`] timeline (breach
-//!   open/close, severity, offending class). Churn fleets may opt in to
-//!   a degrade trigger: joins arriving during an open critical incident
-//!   enter best-effort.
+//!   ceiling, FPS floor, utilization band) over sliding histogram windows
+//!   as the fleet's closing frontier advances, emitting a deterministic
+//!   timestamped [`Incident`] timeline (breach open/close, severity,
+//!   offending class).
 //!
-//! Everything here observes and never steers (the churn degrade trigger
-//! is an explicit opt-in, like `MeasuredLoad` placement): at default
-//! configuration none of these sinks run, and when they do run they only
-//! consume the event stream, so schedules, RNG draws, and the fig_fleet
-//! goldens stay bit-identical.
+//! Everything here observes and never steers: at default configuration
+//! none of these sinks run, and when they do run they only consume the
+//! event stream, so schedules, RNG draws, and the fig_fleet goldens stay
+//! bit-identical.
 
 use crate::metrics::Histogram;
 use crate::sched::TenantClass;
 use crate::telemetry::{FrameEvent, StageSpan, TelemetrySink};
-use qvr_energy::ServerPowerModel;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fmt::Write as _;
@@ -315,12 +311,6 @@ impl MetricsSink {
         self.classes.iter().map(|c| c.frames).sum()
     }
 
-    /// The MTP histogram for one class.
-    #[must_use]
-    pub fn mtp_histogram(&self, class: TenantClass) -> &Histogram {
-        &self.classes[class_index(class)].mtp_ms
-    }
-
     /// Folds another sink's state into this one — exact, order- and
     /// association-independent (see the type docs).
     pub fn absorb(&mut self, other: &MetricsSink) {
@@ -501,9 +491,6 @@ pub struct HealthRules {
     /// Breach when any session's in-window frame rate falls below this
     /// floor, FPS.
     pub fps_floor: Option<f64>,
-    /// Breach when active server energy per displayed frame exceeds this
-    /// budget, mJ/frame.
-    pub energy_per_frame_mj: Option<f64>,
     /// Breach when server GPU utilization leaves `(low, high)`.
     pub utilization_band: Option<(f64, f64)>,
 }
@@ -524,7 +511,6 @@ impl HealthRules {
             min_frames: 1,
             mtp_p95_ceiling_ms: None,
             fps_floor: None,
-            energy_per_frame_mj: None,
             utilization_band: None,
         }
     }
@@ -540,13 +526,6 @@ impl HealthRules {
     #[must_use]
     pub fn with_fps_floor(mut self, floor: f64) -> Self {
         self.fps_floor = Some(floor);
-        self
-    }
-
-    /// Returns a copy with an active-server-energy-per-frame budget rule.
-    #[must_use]
-    pub fn with_energy_per_frame_mj(mut self, budget: f64) -> Self {
-        self.energy_per_frame_mj = Some(budget);
         self
     }
 
@@ -573,8 +552,6 @@ pub enum HealthRuleKind {
     MtpP95,
     /// Some session's windowed frame rate fell under the floor.
     FpsFloor,
-    /// Active server energy per frame exceeded its budget.
-    EnergyPerFrame,
     /// Server GPU utilization left its band.
     Utilization,
 }
@@ -586,7 +563,6 @@ impl HealthRuleKind {
         match self {
             HealthRuleKind::MtpP95 => "p95-mtp",
             HealthRuleKind::FpsFloor => "fps-floor",
-            HealthRuleKind::EnergyPerFrame => "energy/frame",
             HealthRuleKind::Utilization => "utilization",
         }
     }
@@ -595,8 +571,7 @@ impl HealthRuleKind {
         match self {
             HealthRuleKind::MtpP95 => 0,
             HealthRuleKind::FpsFloor => 1,
-            HealthRuleKind::EnergyPerFrame => 2,
-            HealthRuleKind::Utilization => 3,
+            HealthRuleKind::Utilization => 2,
         }
     }
 }
@@ -688,8 +663,8 @@ struct WindowAccum {
     /// In-window frame count and last-seen class per session slot (FPS
     /// floor rule).
     per_slot: BTreeMap<usize, (u64, TenantClass)>,
+    /// Server GPU render busy, ms (utilization rule).
     render_ms: f64,
-    encode_ms: f64,
 }
 
 /// Streaming SLO monitor: buckets events into half-open windows, and as
@@ -705,28 +680,25 @@ struct WindowAccum {
 #[derive(Debug, Clone)]
 pub struct HealthMonitor {
     rules: HealthRules,
-    server: ServerPowerModel,
     units: usize,
     open: BTreeMap<usize, WindowAccum>,
     /// First window index not yet evaluated.
     frontier: usize,
     /// Open incident per rule, as an index into `incidents`.
-    active: [Option<usize>; 4],
+    active: [Option<usize>; 3],
     incidents: Vec<Incident>,
 }
 
 impl HealthMonitor {
-    /// A monitor over `units` server GPUs under `server` power figures
-    /// (the energy-per-frame rule's model).
+    /// A monitor over `units` server GPUs (the utilization rule's pool).
     #[must_use]
-    pub fn new(rules: HealthRules, server: ServerPowerModel, units: usize) -> Self {
+    pub fn new(rules: HealthRules, units: usize) -> Self {
         HealthMonitor {
             rules,
-            server,
             units: units.max(1),
             open: BTreeMap::new(),
             frontier: 0,
-            active: [None; 4],
+            active: [None; 3],
             incidents: Vec::new(),
         }
     }
@@ -741,16 +713,6 @@ impl HealthMonitor {
     #[must_use]
     pub fn incidents(&self) -> &[Incident] {
         &self.incidents
-    }
-
-    /// Whether any rule currently holds an open critical-severity
-    /// incident — the churn degrade trigger's input.
-    #[must_use]
-    pub fn has_open_critical(&self) -> bool {
-        self.active
-            .iter()
-            .flatten()
-            .any(|&i| self.incidents[i].severity == Severity::Critical)
     }
 
     /// Evaluates every window that ends at or before `t_ms` (callers pass
@@ -832,26 +794,6 @@ impl HealthMonitor {
                     class,
                 );
             }
-        }
-        if let Some(budget) = rules.energy_per_frame_mj {
-            let active_mj = self.server.gpu_active_w * accum.render_ms
-                + self.server.enc_active_w * accum.encode_ms;
-            let per_frame = active_mj / accum.frames as f64;
-            let offender = if accum.class_busy_ms[1] > accum.class_busy_ms[0] {
-                TenantClass::BestEffort
-            } else {
-                TenantClass::Adaptive
-            };
-            self.step_rule(
-                HealthRuleKind::EnergyPerFrame,
-                start_ms,
-                per_frame > budget,
-                per_frame,
-                budget,
-                per_frame / budget,
-                true,
-                offender,
-            );
         }
         if let Some((low, high)) = rules.utilization_band {
             let util = accum.render_ms / (self.units as f64 * rules.window_ms);
@@ -970,7 +912,6 @@ impl TelemetrySink for HealthMonitor {
         let busy = event.server_render_ms + event.server_encode_ms;
         accum.class_busy_ms[idx] += busy;
         accum.render_ms += event.server_render_ms;
-        accum.encode_ms += event.server_encode_ms;
         let slot = accum
             .per_slot
             .entry(event.session)
@@ -1125,7 +1066,7 @@ mod tests {
 
     #[test]
     fn health_monitor_opens_and_closes_incidents_at_window_boundaries() {
-        let mut m = HealthMonitor::new(rules(100.0), ServerPowerModel::default(), 4);
+        let mut m = HealthMonitor::new(rules(100.0), 4);
         // Window 0: healthy. Windows 1–2: breaching. Window 3: recovered.
         for i in 0..8 {
             m.on_frame(&ev(0, 10.0 + f64::from(i), 12.0, TenantClass::Adaptive));
@@ -1141,7 +1082,13 @@ mod tests {
         }
         m.close_before(250.0);
         assert_eq!(m.incidents().len(), 1, "breach opened while streaming");
-        assert!(m.has_open_critical(), "80 ms vs 30 ms ceiling is critical");
+        let open = &m.incidents()[0];
+        assert_eq!(open.close_ms, None, "still open at the frontier");
+        assert_eq!(
+            open.severity,
+            Severity::Critical,
+            "80 ms vs 30 ms ceiling is critical"
+        );
         let incidents = m.finish();
         assert_eq!(incidents.len(), 1);
         let i = &incidents[0];
@@ -1167,7 +1114,6 @@ mod tests {
                 rules(50.0)
                     .with_fps_floor(30.0)
                     .with_utilization_band(0.0, 0.9),
-                ServerPowerModel::default(),
                 2,
             );
             for i in 0..200u32 {
@@ -1191,11 +1137,7 @@ mod tests {
     fn sparse_windows_hold_incident_state() {
         // Below-min windows are no evidence: an open incident must not
         // close on a window with a single stray frame.
-        let mut m = HealthMonitor::new(
-            rules(100.0).with_min_frames(4),
-            ServerPowerModel::default(),
-            4,
-        );
+        let mut m = HealthMonitor::new(rules(100.0).with_min_frames(4), 4);
         for i in 0..8 {
             m.on_frame(&ev(0, 10.0 + f64::from(i), 90.0, TenantClass::Adaptive));
         }

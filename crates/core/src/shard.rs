@@ -73,8 +73,9 @@ pub struct ShardConfig {
     /// link provisioning, fairness, server policy, stepping, retirement
     /// window, telemetry. `template.sessions` is ignored (the shard routes
     /// [`ShardConfig::roster`]); `template.seed` is the shard seed each
-    /// cell's seed derives from ([`cell_seed`]); windowed telemetry is
-    /// forced into deferred mode per cell (the mergeable form).
+    /// cell's seed derives from ([`cell_seed`]); windowed telemetry runs
+    /// in deferred mode per cell (the mergeable form), set by
+    /// [`crate::churn::ChurnFleet::enable_cell_sinks`].
     pub template: FleetConfig,
     /// Number of independent cells.
     pub cells: usize,
@@ -571,9 +572,6 @@ impl Shard {
                 let mut fleet = config.template.clone();
                 fleet.sessions = specs.clone();
                 fleet.seed = cell_seed(config.template.seed, cell);
-                if fleet.telemetry.window_ms.is_some() {
-                    fleet.telemetry = fleet.telemetry.with_deferred_windows();
-                }
                 (cell, fleet)
             })
             .collect();
@@ -581,7 +579,9 @@ impl Shard {
             .workers
             .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, |w| w.get()));
         let cells = qvr_sim::parallel_map_with(workers, &cell_configs, |(cell, fleet)| {
-            Fleet::new(fleet.clone()).core.finish_cell(*cell)
+            let mut core = Fleet::new(fleet.clone()).core;
+            core.enable_cell_sinks();
+            core.finish_cell(*cell)
         });
         let mut summary = ShardSummary::merge(cells);
         summary.spilled = routing.spilled;

@@ -1,13 +1,13 @@
 //! Push-based observability: per-frame events streamed through the stack.
 //!
-//! Until PR 5, every fleet-level number was bolted on after the fact:
-//! [`crate::fleet::FleetSummary`] re-walked per-session frame histories,
-//! churn kept an O(run) in-memory sample series, and server policies could
-//! act only on a tenant's scheme *class*, never its measured load. The
+//! Fleet-level numbers are derived from the stream, not bolted on after
+//! the fact: [`crate::fleet::FleetSummary`] aggregates, the churn MTP
+//! timeline, fleet energy, and the measured load server policies place on
+//! all come from sinks that consume frames as they display. The
 //! multi-user VR system surveys both single out live per-session telemetry
-//! and energy as first-class concerns for multi-party deployments — and the
-//! cross-fleet sharding step on the ROADMAP needs a seam that aggregates
-//! *streams*, not retained histories.
+//! and energy as first-class concerns for multi-party deployments — and
+//! cross-fleet sharding needs a seam that aggregates *streams*, not
+//! retained histories.
 //!
 //! This module is that seam. A [`FrameEvent`] is emitted by every
 //! [`crate::session::Session`] at display end — one event per simulated
@@ -23,15 +23,16 @@
 //!   re-derive post hoc (MTP percentile samples, per-slot FPS spans).
 //!   Bit-identical to the post-hoc path by construction
 //!   (`tests/telemetry.rs` pins this on the fig_fleet golden configs).
-//! * [`WindowedStatsSink`] — streaming half-open-bucket p95 timeline,
-//!   replacing `ChurnSummary`'s per-run sample series at O(window) live
-//!   memory (closed buckets collapse to `(start, frames, p95)`).
-//! * [`EnergyMeter`] — closes the fleet energy loop: per-stage server busy
-//!   ms × [`qvr_energy::ServerPowerModel`], link activity ×
-//!   [`qvr_energy::ApPowerModel`], summed headset energy; reported as
-//!   [`qvr_energy::FleetEnergy`] on `FleetSummary`/`ChurnSummary`. Because
-//!   it meters the *stream*, the result is independent of windowed task
-//!   retirement by construction.
+//! * [`WindowedStatsSink`] — the one windowed-p95 MTP timeline
+//!   (`ChurnSummary::windows`, `FleetSummary::windows`): half-open
+//!   buckets at O(window) live memory, closed buckets collapsing to
+//!   `(start, frames, p95)`. No fleet retains an O(run) sample series.
+//! * [`EnergyMeter`] — always on; closes the fleet energy loop:
+//!   per-stage server busy ms × [`qvr_energy::ServerPowerModel`], link
+//!   activity × [`qvr_energy::ApPowerModel`], summed headset energy;
+//!   reported as [`qvr_energy::FleetEnergy`] on
+//!   `FleetSummary`/`ChurnSummary`. Because it meters the *stream*, the
+//!   result is independent of windowed task retirement by construction.
 //! * [`LoadTracker`] — EWMA of each tenant's measured server ms/frame,
 //!   queryable mid-run by [`crate::sched::ServerPolicy::MeasuredLoad`]
 //!   placement (closing the measured-load loop left open in PR 4).
@@ -173,19 +174,17 @@ pub trait TelemetrySink: std::fmt::Debug {
     }
 }
 
-/// Which built-in sinks a fleet runs, threaded through
-/// `FleetConfig::telemetry` / `ChurnConfig::telemetry`. Default-on: the
-/// aggregate, energy, and load sinks always stream (they are cheap and
-/// observational); the windowed-stats sink activates when a bucket width is
-/// configured.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Which optional built-in sinks a fleet runs, threaded through
+/// `FleetConfig::telemetry` / `ChurnConfig::telemetry`. The energy meter
+/// and load tracker always stream (they are cheap and observational), as
+/// does the aggregate on multi-tenant fixed rosters; the windowed-stats
+/// sink activates when a bucket width is configured.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TelemetryConfig {
     /// Bucket width for the streaming windowed-p95 sink, ms; `None` (the
-    /// default) disables it. A churn fleet with a width set streams its
-    /// MTP timeline instead of retaining the O(run) sample series.
+    /// default) disables it. This is the only source of a fleet's MTP
+    /// timeline (`ChurnSummary::windows`, `FleetSummary::windows`).
     pub window_ms: Option<f64>,
-    /// Whether the energy meter runs (default `true`).
-    pub energy: bool,
     /// Defer window closing: the windowed sink ignores the fleet's closing
     /// frontier and keeps every bucket open (raw samples retained) until
     /// finalisation. This is how a shard *cell* runs — an un-collapsed
@@ -209,19 +208,6 @@ pub struct TelemetryConfig {
     /// evaluating these SLO rules over sliding histogram windows and
     /// emitting a deterministic incident timeline. Default `None`.
     pub health: Option<crate::obs::HealthRules>,
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        TelemetryConfig {
-            window_ms: None,
-            energy: true,
-            defer_window_close: false,
-            trace: None,
-            metrics: false,
-            health: None,
-        }
-    }
 }
 
 impl TelemetryConfig {
@@ -367,9 +353,10 @@ impl TelemetrySink for AggregateSink {
 }
 
 /// Streaming windowed-p95 timeline over half-open virtual-time buckets
-/// `[k·w, (k+1)·w)` — the same bucket convention as
-/// [`crate::churn::ChurnSummary::windowed_p95`], but with bounded live
-/// memory: raw samples are held only for *open* buckets, and a bucket
+/// `[k·w, (k+1)·w)` keyed on display end — a sample at an interior
+/// boundary `k·w` belongs to bucket `k`, and a frame past the run's
+/// horizon to the bucket its time falls in. Live memory is bounded: raw
+/// samples are held only for *open* buckets, and a bucket
 /// closes to a `(start_ms, frames, p95)` triple once the caller's
 /// [`WindowedStatsSink::close_before`] frontier guarantees no earlier
 /// sample can still arrive. Fleets drive the frontier from their virtual
@@ -431,12 +418,6 @@ impl WindowedStatsSink {
         let mut sink = WindowedStatsSink::new(window_ms);
         sink.defer = true;
         sink
-    }
-
-    /// Whether this sink defers all closing to finalisation.
-    #[must_use]
-    pub fn is_deferred(&self) -> bool {
-        self.defer
     }
 
     /// Whether no bucket has collapsed yet (nothing closed, frontier still
@@ -502,7 +483,7 @@ impl WindowedStatsSink {
     /// Closes every bucket that ends at or before `t_ms` (callers pass a
     /// frontier no future sample can precede — a fleet's minimum virtual
     /// clock). Closed buckets collapse to their `(start, frames, p95)`
-    /// triple; empty buckets are skipped, as in the post-hoc series.
+    /// triple; empty buckets are skipped.
     /// No-op in deferred mode (shard cells stay mergeable until finish).
     pub fn close_before(&mut self, t_ms: f64) {
         if self.defer {
@@ -800,15 +781,15 @@ impl TelemetrySink for LoadTracker {
 
 /// The fan-out a fleet drives: every built-in sink the configuration
 /// enabled, plus any custom sinks attached for tests or tooling.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct SinkSet {
     /// The aggregate stream (fleets always run it; churn has its own
     /// summary shape and leaves it off).
     pub(crate) aggregate: Option<AggregateSink>,
     /// The streaming windowed-p95 timeline, when configured.
     pub(crate) windowed: Option<WindowedStatsSink>,
-    /// The energy meter, unless disabled.
-    pub(crate) energy: Option<EnergyMeter>,
+    /// The energy meter (always on).
+    pub(crate) energy: EnergyMeter,
     /// The measured-load EWMA (always on: placement may read it).
     pub(crate) load: LoadTracker,
     /// Span tracing over the sampled sessions, when configured.
@@ -821,16 +802,10 @@ pub struct SinkSet {
 }
 
 impl SinkSet {
-    /// An empty set with only the load tracker live.
-    #[must_use]
-    pub fn new() -> Self {
-        SinkSet::default()
-    }
-
     /// Builds the fan-out a [`TelemetryConfig`] describes — the one wiring
     /// point fleets *and* churn share, so a new built-in sink cannot land
-    /// in one and silently miss the other: the energy meter (unless
-    /// disabled), the windowed sink (when a width is set), the load
+    /// in one and silently miss the other: the energy meter (always), the
+    /// windowed sink (when a width is set), the load
     /// tracker (always), and — when `aggregate` is requested (closed
     /// fleets, whose `FleetSummary` is the stream's product; dedicated
     /// single-user fleets and churn keep their own summary paths) — the
@@ -842,31 +817,22 @@ impl SinkSet {
         units: usize,
         aggregate: bool,
     ) -> Self {
-        let mut sinks = SinkSet::new();
-        if aggregate {
-            sinks.aggregate = Some(AggregateSink::new());
+        SinkSet {
+            aggregate: aggregate.then(AggregateSink::new),
+            windowed: telemetry.window_ms.map(if telemetry.defer_window_close {
+                WindowedStatsSink::deferred
+            } else {
+                WindowedStatsSink::new
+            }),
+            energy: EnergyMeter::new(system.server_power, system.ap_power, system.network, units),
+            load: LoadTracker::new(),
+            trace: telemetry.trace.map(crate::obs::TraceSink::new),
+            metrics: telemetry.metrics.then(crate::obs::MetricsSink::new),
+            health: telemetry
+                .health
+                .map(|rules| crate::obs::HealthMonitor::new(rules, units)),
+            custom: Vec::new(),
         }
-        if telemetry.energy {
-            sinks.energy = Some(EnergyMeter::new(
-                system.server_power,
-                system.ap_power,
-                system.network,
-                units,
-            ));
-        }
-        sinks.windowed = telemetry.window_ms.map(if telemetry.defer_window_close {
-            WindowedStatsSink::deferred
-        } else {
-            WindowedStatsSink::new
-        });
-        sinks.trace = telemetry.trace.map(crate::obs::TraceSink::new);
-        if telemetry.metrics {
-            sinks.metrics = Some(crate::obs::MetricsSink::new());
-        }
-        sinks.health = telemetry
-            .health
-            .map(|rules| crate::obs::HealthMonitor::new(rules, system.server_power, units));
-        sinks
     }
 
     /// Fans one event out to every sink.
@@ -889,9 +855,7 @@ impl SinkSet {
         if let Some(s) = &mut self.windowed {
             s.on_batch(events);
         }
-        if let Some(s) = &mut self.energy {
-            s.on_batch(events);
-        }
+        self.energy.on_batch(events);
         self.load.on_batch(events);
         if let Some(s) = &mut self.trace {
             s.on_batch(events);
@@ -930,13 +894,10 @@ impl SinkSet {
         self.load.clone()
     }
 
-    /// Finalises the energy meter (identity-zero when disabled).
+    /// Finalises the energy meter.
     #[must_use]
     pub fn energy_finalize(&self, span_ms: f64, client_mj: f64) -> FleetEnergy {
-        self.energy
-            .as_ref()
-            .map(|m| m.finalize(span_ms, client_mj))
-            .unwrap_or_default()
+        self.energy.finalize(span_ms, client_mj)
     }
 
     /// Finishes the windowed sink and returns its timeline plus peak live
@@ -969,16 +930,6 @@ impl SinkSet {
             .take()
             .map(crate::obs::HealthMonitor::finish)
             .unwrap_or_default()
-    }
-
-    /// Whether the health monitor currently holds an open critical-severity
-    /// incident — the churn fleet's optional degrade trigger reads this at
-    /// join time. `false` when no monitor runs.
-    #[must_use]
-    pub fn health_open_critical(&self) -> bool {
-        self.health
-            .as_ref()
-            .is_some_and(crate::obs::HealthMonitor::has_open_critical)
     }
 }
 
@@ -1043,8 +994,9 @@ mod tests {
 
     #[test]
     fn windowed_sink_matches_the_bucket_convention() {
-        // Mirror of the ChurnSummary::windowed_p95 boundary test: buckets
-        // are uniformly half-open, boundary samples go *up*.
+        // Buckets are uniformly half-open, boundary samples go *up*: a
+        // sample at the interior boundary 100 opens bucket 1, and samples
+        // at (300) or past (310) a 300 ms horizon land in bucket 3.
         let mut w = WindowedStatsSink::new(100.0);
         for (t, mtp) in [
             (0.0, 10.0),
@@ -1372,22 +1324,24 @@ mod tests {
 
     #[test]
     fn sink_set_fans_out_to_custom_sinks() {
-        #[derive(Debug, Default)]
-        struct Counter(usize);
+        #[derive(Debug)]
+        struct Counter(Rc<std::cell::Cell<usize>>);
         impl TelemetrySink for Counter {
             fn on_frame(&mut self, _: &FrameEvent) {
-                self.0 += 1;
+                self.0.set(self.0.get() + 1);
             }
         }
-        let mut set = SinkSet::new();
-        set.aggregate = Some(AggregateSink::new());
-        set.attach(Box::<Counter>::default());
+        let system = crate::schemes::SystemConfig::default();
+        let mut set = SinkSet::from_config(&TelemetryConfig::default(), &system, 4, true);
+        let seen = Rc::new(std::cell::Cell::new(0));
+        set.attach(Box::new(Counter(Rc::clone(&seen))));
         for i in 0..5 {
             set.emit(&ev(0, i, 0.0, 10.0, 12.0));
         }
+        assert_eq!(seen.get(), 5, "the custom sink sees every event");
         assert_eq!(set.aggregate.as_ref().unwrap().frames(), 5);
         assert!(set.load().ewma(0).is_some());
-        assert_eq!(set.energy_finalize(10.0, 0.0), FleetEnergy::default());
+        assert!(set.energy_finalize(10.0, 0.0).server_render_mj > 0.0);
         assert_eq!(set.windowed_finish(), (Vec::new(), 0));
     }
 }

@@ -299,23 +299,24 @@ fn churn_bounded_memory_64_sessions_retains_o_window_tasks() {
         horizon_ms,
         42,
     )
-    .with_retire_window_ms(window_ms)
+    .with_retire_window_ms(window_ms);
     // Stream the MTP timeline too: the WindowedStatsSink must keep the
     // churn stats series O(window) alongside the engine's task retirement.
-    .with_stats_window_ms(window_ms);
+    config.telemetry = config.telemetry.with_window_ms(window_ms);
     config.server_units = 8;
     config.link_streams = 8;
     let summary = ChurnFleet::run(config);
     assert_eq!(summary.len(), n + n / 4, "everyone joined");
-    // Streaming replaced the retained series: no per-run sample vector,
-    // and the sink's live footprint is a couple of windows of in-flight
+    // The streamed timeline covers every frame any tenant displayed, and
+    // the sink's live footprint is a couple of windows of in-flight
     // frames — it scales with (sessions × window), never the horizon.
-    assert!(
-        summary.samples.is_empty(),
-        "streaming keeps no sample series"
-    );
     let total_frames: usize = summary.windows.iter().map(|(_, f, _)| *f).sum();
-    assert!(total_frames > 0, "the streamed timeline saw every frame");
+    let tenant_frames: usize = summary.tenants.iter().map(|t| t.summary.len()).sum();
+    assert!(total_frames > 0);
+    assert_eq!(
+        total_frames, tenant_frames,
+        "the streamed timeline saw every frame"
+    );
     let stats_cap = 4 * n * qvr::sim::checked::ceil_index(window_ms / 10.0);
     assert!(
         summary.peak_open_samples < stats_cap,

@@ -248,6 +248,39 @@ fn churn_cells_merge_through_the_same_seam() {
 }
 
 #[test]
+fn streaming_churn_cells_merge_their_windowed_timelines() {
+    // A churn cell that streams a windowed timeline (no explicit deferral)
+    // must still merge: enabling cell sinks puts the windowed sink into its
+    // mergeable deferred mode, instead of shipping collapsed buckets that
+    // `ShardSummary::merge` has to reject.
+    let make_cell = |cell: usize| {
+        let spec = |i: usize| mixed_spec(cell * 5 + i);
+        let events = vec![ChurnEvent::join(180.0, spec(2))];
+        let mut config = ChurnConfig::new(
+            SystemConfig::default(),
+            vec![spec(0), spec(1)],
+            ChurnTrace::script(events),
+            600.0,
+            cell_seed(57, cell),
+        );
+        config.server_units = 4;
+        config.link_streams = 2;
+        config.telemetry = config.telemetry.with_window_ms(200.0);
+        let mut fleet = ChurnFleet::new(config);
+        fleet.enable_cell_sinks();
+        fleet.finish_cell(cell)
+    };
+    let merged = ShardSummary::merge((0..2).map(make_cell).collect());
+    assert_eq!(merged.cells, 2);
+    let streamed: usize = merged.windows.iter().map(|(_, n, _)| *n).sum();
+    assert!(merged.frames > 0);
+    assert_eq!(
+        streamed, merged.frames,
+        "the merged timeline covers every cell's frames"
+    );
+}
+
+#[test]
 fn merged_load_keeps_cell_slot_namespaces_disjoint() {
     // The stale-EWMA regression: before namespacing, cell 1's slot 0
     // landed on the same tracker slot as cell 0's slot 0, so a spilled

@@ -2,7 +2,8 @@
 //! bit-identical to the post-hoc aggregation on every fig_fleet golden
 //! config, event streams are one-per-frame, fleet energy is non-negative /
 //! additive / retirement-proof, and the streaming windowed-stats sink
-//! reproduces `ChurnSummary::windowed_p95` exactly.
+//! reproduces a post-hoc half-open bucketing of a churn run's recorded
+//! frame stream exactly.
 
 use qvr::prelude::*;
 use qvr::scene::Benchmark;
@@ -221,44 +222,63 @@ fn energy_differs_measurably_across_server_policies() {
     assert!(a > 0.0 && b > 0.0);
 }
 
+/// The reference timeline: every `(display_end_ms, mtp_ms)` sample filed
+/// into half-open buckets `[k·w, (k+1)·w)` after the fact, empty buckets
+/// skipped, each collapsed to `(start, frames, p95)`.
+fn post_hoc_windows(events: &[FrameEvent], window_ms: f64) -> Vec<(f64, usize, f64)> {
+    let mut buckets: std::collections::BTreeMap<usize, Vec<f64>> = Default::default();
+    for e in events {
+        let b = qvr::sim::checked::floor_index(e.end_ms / window_ms);
+        buckets.entry(b).or_default().push(e.mtp_ms);
+    }
+    buckets
+        .into_iter()
+        .map(|(b, v)| {
+            let n = v.len();
+            (
+                b as f64 * window_ms,
+                n,
+                qvr::core::metrics::SortedSamples::new(v).p95(),
+            )
+        })
+        .collect()
+}
+
 #[test]
 fn windowed_sink_reproduces_churn_windowed_p95_on_a_recorded_trace() {
-    // Feed a real churn run's retained sample series through a
-    // WindowedStatsSink (with an aggressively trailing close frontier) and
-    // require the exact post-hoc timeline.
+    // Record a real churn run's frame events, then require (a) the run's
+    // own streamed timeline and (b) a standalone sink fed the recording
+    // under an aggressively trailing close frontier to both equal the
+    // post-hoc bucketing of the recording, bit for bit.
+    let window_ms = 100.0;
     let spec = || SessionSpec::new(SchemeKind::Qvr, Benchmark::Hl2H.profile());
     let trace = ChurnTrace::poisson(5, 3.0, 300.0, 800.0, 2, |_| spec());
-    let summary = ChurnFleet::run(ChurnConfig::new(
+    let mut config = ChurnConfig::new(
         SystemConfig::default(),
         vec![spec(), spec()],
         trace,
         800.0,
         7,
-    ));
-    assert!(!summary.samples.is_empty(), "retained series present");
-    let window_ms = 100.0;
+    );
+    config.telemetry = config.telemetry.with_window_ms(window_ms);
+    let events = Rc::new(RefCell::new(Vec::new()));
+    let mut fleet = ChurnFleet::new(config);
+    fleet.attach_sink(Box::new(Recorder(events.clone())));
+    let summary = fleet.finish();
+    let events = events.borrow();
+    let frames: usize = summary.tenants.iter().map(|t| t.summary.len()).sum();
+    assert!(frames > 0);
+    assert_eq!(events.len(), frames, "the recording holds every frame");
+    let oracle = post_hoc_windows(&events, window_ms);
+    assert_eq!(summary.windows, oracle, "the fleet's streamed timeline");
     let mut sink = WindowedStatsSink::new(window_ms);
-    for (i, (t, mtp)) in summary.samples.iter().enumerate() {
-        sink.on_frame(&FrameEvent {
-            session: 0,
-            frame: i as u64,
-            span_start_ms: 0.0,
-            end_ms: *t,
-            mtp_ms: *mtp,
-            tx_bytes: 0.0,
-            quality: None,
-            server_render_ms: 0.0,
-            server_encode_ms: 0.0,
-            radio_ms: 0.0,
-            unit: None,
-            class: TenantClass::Adaptive,
-            spans: FrameSpans::default(),
-        });
+    for e in events.iter() {
+        sink.on_frame(e);
         // Samples across sessions interleave non-monotonically; a frontier
         // trailing by a generous margin is what fleets guarantee.
-        sink.close_before(t - 150.0);
+        sink.close_before(e.end_ms - 150.0);
     }
-    assert_eq!(sink.finish(), summary.windowed_p95(window_ms));
+    assert_eq!(sink.finish(), oracle, "a standalone trailing-close sink");
 }
 
 #[test]
@@ -276,17 +296,4 @@ fn fleet_summaries_can_stream_a_windowed_timeline() {
     // Without a configured width the timeline stays empty.
     let plain = Fleet::run(golden_config(NetworkPreset::WiFi, 2));
     assert!(plain.windows.is_empty());
-}
-
-#[test]
-fn disabling_the_energy_meter_zeroes_only_the_energy_fields() {
-    let mut config = golden_config(NetworkPreset::WiFi, 2);
-    config.frames = 20;
-    let with = Fleet::run(config.clone());
-    config.telemetry.energy = false;
-    let without = Fleet::run(config);
-    assert_eq!(without.energy, FleetEnergy::default());
-    assert!(with.energy.total_mj() > 0.0);
-    assert_eq!(with.mtp_p95_ms.to_bits(), without.mtp_p95_ms.to_bits());
-    assert_eq!(with.sessions, without.sessions, "metering never perturbs");
 }
